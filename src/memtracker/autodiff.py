@@ -60,9 +60,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 

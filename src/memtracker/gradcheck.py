@@ -77,7 +77,6 @@ def primitive_checks(seed, h=1e-5):
     results["cosine_similarity"] = check_gradients(lambda: ad.cosine_similarity(x, y), [x, y], h)
 
     keys, k = _rand(rng, 5, 6), _rand(rng, 6)
-    wr = np.random.default_rng(seed + 1)
     results["cosine_rows"] = check_gradients(lambda: _weighted(ad.cosine_rows(keys, k), np.random.default_rng(seed + 1)), [keys, k], h)
 
     v = _rand(rng, 9)
@@ -141,10 +140,8 @@ def composed_model_check(seeds, h=1e-5, coords_per_tensor=3):
     Only the first tracked step is used: its loss depends on no data-driven
     slot selection, so the loss is smooth in every parameter.
     """
-    from . import controller as ctrl
-    from . import featnet, memory, template, tracker, train
+    from . import featnet, template, tracker, train
     from .model import init_params, micro_config
-    from .tracker import BoundingBox
 
     worst = 0.0
     for seed in seeds:
@@ -153,30 +150,22 @@ def composed_model_check(seeds, h=1e-5, coords_per_tensor=3):
         rng = np.random.default_rng(int(seed) + 999)
         frame0 = rng.uniform(0.0, 1.0, (48, 48, 3))
         frame1 = rng.uniform(0.0, 1.0, (48, 48, 3))
-        box = BoundingBox(cx=24.0, cy=24.0, w=12.0, h=12.0)
+        box = tracker.BoundingBox(cx=24.0, cy=24.0, w=12.0, h=12.0)
         n, c = cfg.net.template_size, cfg.net.channels
         neg_slots = rng.standard_normal((cfg.n_neg, n, n, c)) * 0.2
         label = train.gt_response((cfg.response_size // 2, cfg.response_size // 2 + 1),
                                   cfg.response_size, radius=1.0)
 
         def fn():
-            t0 = tracker.extract_template(frame0, box, params, cfg)
-            h0, c0 = ctrl.init_state(t0, params)
-            pos = memory.forced_allocation_write(
-                memory.MemoryState.zeros(cfg.n_pos, n, c, cfg.mem_decay, np.float64), t0)
-            neg = memory.MemoryState.zeros(cfg.n_neg, n, c, cfg.mem_decay, np.float64)
-            neg.slots = ad.Tensor(neg_slots.copy())
-            neg.keys = ad.Tensor(neg_slots.mean(axis=(1, 2)))
-            state = tracker.TrackState(box=box, h=h0, c=c0, pos_mem=pos, neg_mem=neg,
-                                       initial_template=t0)
+            state = tracker.init(frame0, box, params, cfg)
+            state.neg_mem.slots = ad.Tensor(neg_slots.copy())
+            state.neg_mem.keys = ad.Tensor(neg_slots.mean(axis=(1, 2)))
             cx, cy, side = tracker.search_roi(box, cfg)
             patch = tracker.crop_resize(frame1, cx, cy, side, cfg.net.search_size)
             feats = featnet.extract_features(ad.Tensor(patch), params, cfg.net)
-            signals, _, _, _ = tracker.run_controller(state, feats, params, cfg, mode="eval")
-            final, _, _, _ = tracker.build_final_template(state, signals, params, cfg)
-            response = template.response(feats, final)
-            logits = train.centered_logits(response)
-            probs = featnet.classify_object(t0, params, cfg.net)
+            read = tracker.frame_forward(state, feats, params, cfg)
+            logits = train.centered_logits(template.response(feats, read.template))
+            probs = featnet.classify_object(state.initial_template, params, cfg.net)
             return train.total_loss(logits, label, probs, class_id=1, kappa=0.05)
 
         err = check_gradients(fn, list(params.values()), h=h,

@@ -7,14 +7,35 @@ to train on a CPU in minutes, which is the default for tests and the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from . import attention, controller, featnet, template
 from .featnet import ConvLayer, FeatureNetConfig
 
-ABLATIONS = ("none", "noatt", "queue", "hardread", "nores", "frozen", "no-negative")
+
+@dataclass(frozen=True)
+class Variant:
+    """What an ablation keeps of the memory model."""
+    attend: bool = True          # soft attention, else the plain mean of the search patches
+    read: str = "soft"           # positive memory: "soft" read, "hard" (best slot) read or "queue"
+    gated_residual: bool = True  # else initial + retrieved, ungated
+    negative: bool = True        # negative memory read, canceling and write
+    adapt: bool = True           # else frozen: no controller, no memory writes
+
+
+VARIANTS = {
+    "none": Variant(),
+    "noatt": Variant(attend=False),
+    "queue": Variant(read="queue"),
+    "hardread": Variant(read="hard"),
+    "nores": Variant(gated_residual=False),
+    "frozen": Variant(adapt=False),
+    "no-negative": Variant(negative=False),
+}
+ABLATIONS = tuple(VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -116,29 +137,25 @@ def init_params(cfg: ModelConfig, seed, dtype=np.float32):
 
 # --- config file mapping (line-based "key = value") ------------------------
 
+def fields_from_dict(cls, entries):
+    """Pop the int and float fields of dataclass `cls` out of `entries`,
+    each cast to its declared type; a missing one raises KeyError."""
+    types = get_type_hints(cls)
+    return {f.name: types[f.name](entries.pop(f.name)) for f in fields(cls)
+            if types[f.name] in (int, float)}
+
+
 def config_to_dict(cfg: ModelConfig):
-    d = {
-        "object_size": cfg.net.object_size,
-        "search_size": cfg.net.search_size,
-        "num_layers": len(cfg.net.layers),
-        "num_classes": cfg.net.num_classes,
-        "cls_hidden": cfg.net.cls_hidden,
-        "hidden": cfg.hidden,
-        "attn_size": cfg.attn_size,
-        "n_pos": cfg.n_pos,
-        "n_neg": cfg.n_neg,
-        "mem_decay": cfg.mem_decay,
-        "tau": cfg.tau,
-        "score_ratio": cfg.score_ratio,
-        "top_k": cfg.top_k,
-        "scale_step": cfg.scale_step,
-        "num_scales": cfg.num_scales,
-        "window_weight": cfg.window_weight,
-        "scale_smooth": cfg.scale_smooth,
-        "context_factor": cfg.context_factor,
-        "dropout_keep": cfg.dropout_keep,
-        "patch_stride": cfg.patch_stride,
-    }
+    """The scalar fields of the net and model configs in declaration order,
+    `num_layers` for `layers`, then per conv layer one entry
+    `layer<i> = kernel,stride,channels,relu,pool kind,pool size,pool stride`."""
+    d = {}
+    for obj in (cfg.net, cfg):
+        for f in fields(obj):
+            if f.name == "layers":
+                d["num_layers"] = len(cfg.net.layers)
+            elif f.name != "net":
+                d[f.name] = getattr(obj, f.name)
     for i, ly in enumerate(cfg.net.layers):
         pool = "none,0,0" if ly.pool is None else f"{ly.pool[0]},{ly.pool[1]},{ly.pool[2]}"
         d[f"layer{i}"] = f"{ly.kernel},{ly.stride},{ly.channels},{int(ly.relu)},{pool}"
@@ -154,31 +171,8 @@ def config_from_dict(d):
         k, s, c, r, pk, pn, ps = raw.split(",")
         pool = None if pk == "none" else (pk, int(pn), int(ps))
         layers.append(ConvLayer(kernel=int(k), stride=int(s), channels=int(c), relu=bool(int(r)), pool=pool))
-    net = FeatureNetConfig(
-        object_size=int(d.pop("object_size")),
-        search_size=int(d.pop("search_size")),
-        layers=tuple(layers),
-        num_classes=int(d.pop("num_classes")),
-        cls_hidden=int(d.pop("cls_hidden")),
-    )
-    cfg = ModelConfig(
-        net=net,
-        hidden=int(d.pop("hidden")),
-        attn_size=int(d.pop("attn_size")),
-        n_pos=int(d.pop("n_pos")),
-        n_neg=int(d.pop("n_neg")),
-        mem_decay=float(d.pop("mem_decay")),
-        tau=float(d.pop("tau")),
-        score_ratio=float(d.pop("score_ratio")),
-        top_k=int(d.pop("top_k")),
-        scale_step=float(d.pop("scale_step")),
-        num_scales=int(d.pop("num_scales")),
-        window_weight=float(d.pop("window_weight")),
-        scale_smooth=float(d.pop("scale_smooth")),
-        context_factor=float(d.pop("context_factor")),
-        dropout_keep=float(d.pop("dropout_keep")),
-        patch_stride=int(d.pop("patch_stride")),
-    )
+    net = FeatureNetConfig(layers=tuple(layers), **fields_from_dict(FeatureNetConfig, d))
+    cfg = ModelConfig(net=net, **fields_from_dict(ModelConfig, d))
     if d:
         raise ValueError(f"unknown config keys: {sorted(d)}")
     return cfg

@@ -1,9 +1,9 @@
-"""Per-frame tracking: crop geometry, the control/read/match pipeline,
-multi-scale search and memory updates."""
+"""Per-frame tracking: crop geometry, multi-scale search, and the per-frame
+model (`init`, `frame_forward`, `write_memories`) that training reuses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from . import featnet
 from . import memory as mem
 from . import template as tmpl
 from .autodiff import Tensor
-from .model import ABLATIONS, ModelConfig
+from .model import ABLATIONS, VARIANTS, ModelConfig
 
 
 @dataclass
@@ -48,6 +48,18 @@ class TrackState:
     ablation: str = "none"
     pin_gates: bool = False  # test hook: zero residual gate, skip writes
     diagnostics: dict = field(default_factory=dict)
+
+
+@dataclass
+class FrameRead:
+    """What `frame_forward` computed for one frame."""
+    template: Tensor                 # final matching template
+    h: Tensor                        # controller state after the frame
+    c: Tensor
+    signals: ctrl.ControlSignals | None = None  # None when the variant is frozen
+    w_pos: Tensor | None = None      # positive read weights (None for the queue read)
+    w_neg: Tensor | None = None      # negative read weights
+    alpha: Tensor | None = None      # attention weights
 
 
 def object_roi(box: BoundingBox, context_factor=0.5):
@@ -128,67 +140,77 @@ def init(frame, box: BoundingBox, params, cfg: ModelConfig, ablation="none"):
     The initial template seeds the controller state and is force-written
     into the (otherwise empty) positive memory; negative memory starts blank.
     """
-    if ablation not in ABLATIONS:
+    if ablation not in VARIANTS:
         raise ValueError(f"unknown ablation {ablation!r}; choose from {ABLATIONS}")
     t0 = extract_template(frame, box, params, cfg)
     h0, c0 = ctrl.init_state(t0, params)
     n, c = cfg.net.template_size, cfg.net.channels
     dtype = t0.data.dtype
     pos = mem.MemoryState.zeros(cfg.n_pos, n, c, cfg.mem_decay, dtype=dtype)
-    pos = mem.queue_write(pos, t0) if ablation == "queue" else mem.forced_allocation_write(pos, t0)
+    pos = mem.queue_write(pos, t0) if VARIANTS[ablation].read == "queue" else mem.forced_allocation_write(pos, t0)
     neg = mem.MemoryState.zeros(cfg.n_neg, n, c, cfg.mem_decay, dtype=dtype)
     return TrackState(box=box, h=h0, c=c0, pos_mem=pos, neg_mem=neg, initial_template=t0,
                       ablation=ablation)
 
 
-def run_controller(state: TrackState, search_features, params, cfg: ModelConfig,
-                   mode="eval", rng=None):
-    """Attention + LSTM + control heads for one frame.
-
-    Returns (signals, h, c, attention weights).
-    """
+def frame_forward(state: TrackState, search_features, params, cfg: ModelConfig,
+                  mode="eval", rng=None):
+    """Attention, LSTM and control heads on one frame's search features, then
+    the positive read joined to the initial template by the residual gate and
+    the negative read that cancels distractors. `mode`/`rng` select dropout."""
+    v = VARIANTS[state.ablation]
+    t0 = state.initial_template
+    if not v.adapt:
+        return FrameRead(template=t0, h=state.h, c=state.c)
     bank = attn.pool_patches(search_features, cfg.net.template_size, cfg.patch_stride)
-    if state.ablation == "noatt":
-        a_t, alpha = attn.uniform_attended_vector(bank)
-    else:
+    if v.attend:
         scores = attn.attention_scores(state.h, bank, params)
         a_t, alpha = attn.attended_vector(scores, bank)
+    else:
+        a_t, alpha = attn.uniform_attended_vector(bank)
     h, c = ctrl.lstm_step(a_t, state.h, state.c, params, mode=mode,
                           keep_prob=cfg.dropout_keep, rng=rng)
     signals = ctrl.control_signals(h, params)
-    return signals, h, c, alpha
 
-
-def build_final_template(state: TrackState, signals, params, cfg: ModelConfig):
-    """Retrieve from both memories and assemble the matching template.
-
-    Returns (final template, positive read weight, negative read weight,
-    cancel gate); the read weights are None when the ablation skips a path.
-    """
-    t0 = state.initial_template
-    if state.ablation == "frozen":
-        return t0, None, None, None
-    if state.ablation == "queue":
+    if v.read == "queue":
         retrieved, w_pos = mem.queue_retrieve(state.pos_mem), None
-    elif state.ablation == "hardread":
+    elif v.read == "hard":
         retrieved, j = mem.hard_read(state.pos_mem, signals.read_key)
-        onehot = np.zeros(cfg.n_pos, dtype=retrieved.data.dtype)
-        onehot[j] = 1.0
-        w_pos = Tensor(onehot)
+        w_pos = Tensor(np.eye(state.pos_mem.size, dtype=retrieved.data.dtype)[j])
     else:
         retrieved, w_pos = mem.read(state.pos_mem, signals.read_key, signals.read_strength)
     gate = signals.residual_gate
     if state.pin_gates:
         gate = Tensor(np.zeros_like(gate.data))
-    if state.ablation == "nores":
-        positive = ad.add(t0, retrieved)
+    if v.gated_residual:
+        final = tmpl.residual_combine(t0, retrieved, gate)
     else:
-        positive = tmpl.residual_combine(t0, retrieved, gate)
-    if state.ablation == "no-negative":
-        return positive, w_pos, None, None
-    negative, w_neg = mem.read(state.neg_mem, signals.read_key, signals.read_strength)
-    final, cancel_gate = tmpl.cancel_distractor(positive, negative, params)
-    return final, w_pos, w_neg, cancel_gate
+        final = ad.add(t0, retrieved)
+    w_neg = None
+    if v.negative:
+        negative, w_neg = mem.read(state.neg_mem, signals.read_key, signals.read_strength)
+        final, _ = tmpl.cancel_distractor(final, negative, params)
+    return FrameRead(template=final, h=h, c=c, signals=signals, w_pos=w_pos, w_neg=w_neg,
+                     alpha=alpha)
+
+
+def write_memories(state: TrackState, read: FrameRead, new_template, score_map,
+                   search_features, cfg: ModelConfig):
+    """One memory write after `frame_forward`: `new_template` into positive
+    memory, then the distractors of `score_map` (a response over
+    `search_features`) into negative memory. Returns (pos_mem, neg_mem)."""
+    v = VARIANTS[state.ablation]
+    if v.read == "queue":
+        pos_mem = mem.queue_write(state.pos_mem, new_template)
+    else:
+        pos_mem = mem.write_positive(state.pos_mem, new_template, read.signals.write_gates,
+                                     read.w_pos, read.signals.decay_rate)
+    neg_mem = state.neg_mem
+    if v.negative:
+        distractors = mem.extract_distractors(score_map, search_features, cfg.tau, cfg.score_ratio,
+                                              cfg.top_k, cfg.net.template_size)
+        neg_mem = mem.write_negative(neg_mem, distractors, read_weight=read.w_neg)
+    return pos_mem, neg_mem
 
 
 def step(state: TrackState, frame, params, cfg: ModelConfig):
@@ -210,20 +232,13 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
     patches = [crop_resize(frame, cx, cy, base_side * s, s_in) for s in scales]
     feats = [None] * len(scales)
     feats[mid] = featnet.extract_features(Tensor(patches[mid]), params, cfg.net)
-
-    if state.ablation == "frozen":
-        signals, h, c, alpha = None, state.h, state.c, None
-        final = state.initial_template
-        w_pos = w_neg = cancel_gate = None
-    else:
-        signals, h, c, alpha = run_controller(state, feats[mid], params, cfg, mode="eval")
-        final, w_pos, w_neg, cancel_gate = build_final_template(state, signals, params, cfg)
+    read = frame_forward(state, feats[mid], params, cfg)
 
     responses = []
     for si in range(len(scales)):
         if feats[si] is None:
             feats[si] = featnet.extract_features(Tensor(patches[si]), params, cfg.net)
-        responses.append(tmpl.response(feats[si], final))
+        responses.append(tmpl.response(feats[si], read.template))
 
     window = cosine_window(responses[0].data.shape[0])
     ww = cfg.window_weight
@@ -246,27 +261,14 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
     new_box = BoundingBox(cx=box.cx + dx, cy=box.cy + dy,
                           w=box.w * size_factor, h=box.h * size_factor)
 
-    pos_mem, neg_mem = state.pos_mem, state.neg_mem
-    if state.ablation != "frozen" and not state.pin_gates:
-        new_template = extract_template(frame, new_box, params, cfg)
-        if state.ablation == "queue":
-            pos_mem = mem.queue_write(pos_mem, new_template)
-        else:
-            w_read = w_pos if w_pos is not None else Tensor(np.zeros(cfg.n_pos, dtype=np.float32))
-            pos_mem = mem.write_positive(pos_mem, new_template, signals.write_gates,
-                                         w_read, signals.decay_rate)
-        if state.ablation != "no-negative":
-            distractors = mem.extract_distractors(responses[s_star].data, feats[s_star],
-                                                  cfg.tau, cfg.score_ratio, cfg.top_k,
-                                                  cfg.net.template_size)
-            neg_mem = mem.write_negative(neg_mem, distractors, read_weight=w_neg)
-
     diag = {"scale_index": s_star, "peak": (p_star, q_star),
-            "alpha": None if alpha is None else alpha.data.copy(),
-            "write_gates": None if signals is None else signals.write_gates.data.copy()}
-    new_state = TrackState(box=new_box, h=h, c=c, pos_mem=pos_mem, neg_mem=neg_mem,
-                           initial_template=state.initial_template, ablation=state.ablation,
-                           pin_gates=state.pin_gates, diagnostics=diag)
+            "alpha": None if read.alpha is None else read.alpha.data.copy(),
+            "write_gates": None if read.signals is None else read.signals.write_gates.data.copy()}
+    new_state = replace(state, box=new_box, h=read.h, c=read.c, diagnostics=diag)
+    if VARIANTS[state.ablation].adapt and not state.pin_gates:
+        new_template = extract_template(frame, new_box, params, cfg)
+        new_state.pos_mem, new_state.neg_mem = write_memories(
+            state, read, new_template, responses[s_star].data, feats[s_star], cfg)
     return new_state, new_box
 
 

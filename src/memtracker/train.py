@@ -10,18 +10,16 @@ learns its gate behavior end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import controller as ctrl
 from . import featnet
-from . import memory as mem
 from . import template as tmpl
 from . import tracker
 from .autodiff import Tensor
-from .model import ModelConfig
+from .model import ModelConfig, fields_from_dict
 
 
 @dataclass
@@ -48,26 +46,17 @@ class TrainConfig:
     aug_stretch: float = 0.05
 
 
-_TRAIN_FIELDS = ("steps", "batch_clips", "clip_len", "lr", "lr_decay", "lr_interval",
-                 "kappa", "beta1", "beta2", "eps", "seed", "radius",
-                 "aug_translate", "aug_stretch")
-
-
 def train_config_to_dict(tc: TrainConfig):
-    return {name: getattr(tc, name) for name in _TRAIN_FIELDS}
+    return asdict(tc)
 
 
 def train_config_from_dict(entries):
-    entries = dict(entries)
-    kwargs = {}
-    for name in _TRAIN_FIELDS:
-        if name in entries:
-            raw = entries.pop(name)
-            caster = type(getattr(TrainConfig(), name))
-            kwargs[name] = caster(raw)
+    """A TrainConfig from the entries given; absent fields keep their defaults."""
+    entries = {**asdict(TrainConfig()), **entries}
+    tc = TrainConfig(**fields_from_dict(TrainConfig, entries))
     if entries:
         raise ValueError(f"unknown training config keys: {sorted(entries)}")
-    return TrainConfig(**kwargs)
+    return tc
 
 
 def gt_response(center, extent, radius):
@@ -142,14 +131,8 @@ def sample_clip(video_len, clip_len, seed):
 def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig,
               rng, mode="train"):
     """Summed per-step loss of a teacher-forced unroll over one clip."""
-    t0 = tracker.extract_template(frames[0], boxes[0], params, cfg)
-    h, c = ctrl.init_state(t0, params)
-    n, ch = cfg.net.template_size, cfg.net.channels
-    dtype = t0.data.dtype
-    pos = mem.forced_allocation_write(mem.MemoryState.zeros(cfg.n_pos, n, ch, cfg.mem_decay, dtype), t0)
-    neg = mem.MemoryState.zeros(cfg.n_neg, n, ch, cfg.mem_decay, dtype)
-    state = tracker.TrackState(box=boxes[0], h=h, c=c, pos_mem=pos, neg_mem=neg,
-                               initial_template=t0, ablation="none")
+    state = tracker.init(frames[0], boxes[0], params, cfg)
+    dtype = state.initial_template.data.dtype
 
     P = cfg.response_size
     center_cell = (P - 1) / 2.0
@@ -164,10 +147,8 @@ def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig
             side *= 1.0 + rng.uniform(-tc.aug_stretch, tc.aug_stretch)
         patch = tracker.crop_resize(np.asarray(frames[t], dtype=dtype), cx, cy, side, s_in)
         feats = featnet.extract_features(Tensor(patch), params, cfg.net)
-        signals, h, c, _ = tracker.run_controller(state, feats, params, cfg, mode=mode, rng=rng)
-        state.h, state.c = h, c
-        final, w_pos, w_neg, _ = tracker.build_final_template(state, signals, params, cfg)
-        response = tmpl.response(feats, final)
+        read = tracker.frame_forward(state, feats, params, cfg, mode=mode, rng=rng)
+        response = tmpl.response(feats, read.template)
         logits = centered_logits(response)
 
         patch_scale = side / s_in
@@ -181,12 +162,8 @@ def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig
         step_loss = total_loss(logits, label, probs, class_id, kappa=tc.kappa)
         total = step_loss if total is None else ad.add(total, step_loss)
 
-        state.pos_mem = mem.write_positive(state.pos_mem, new_template, signals.write_gates,
-                                           w_pos, signals.decay_rate)
-        distractors = mem.extract_distractors(response.data, feats, cfg.tau, cfg.score_ratio,
-                                              cfg.top_k, n)
-        state.neg_mem = mem.write_negative(state.neg_mem, distractors, read_weight=w_neg)
-        state.box = boxes[t]
+        state.pos_mem, state.neg_mem = tracker.write_memories(state, read, new_template, response.data, feats, cfg)
+        state.box, state.h, state.c = boxes[t], read.h, read.c
     return total
 
 
