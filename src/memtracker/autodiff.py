@@ -555,22 +555,32 @@ def avg_pool(x, n, stride):
 
 
 def max_pool(x, n, stride):
-    """Max over each n-by-n window per channel."""
+    """Max over each n-by-n window per channel.
+
+    The forward is a running maximum over the n*n strided views in row-major
+    window order. numpy's `maximum` propagates NaN and, between equal values
+    (+0 and -0 included), returns its second operand, so with the running
+    maximum second each window keeps its first maximum: the element the
+    backward's argmax routes the gradient to.
+    """
     x = _as_tensor(x)
     H, W, C = x.data.shape
     if n > H or n > W:
         raise ValueError(f"max_pool window {n} exceeds input extent {H}x{W}")
-    s0, s1, s2 = x.data.strides
     oh = (H - n) // stride + 1
     ow = (W - n) // stride + 1
-    windows = as_strided(x.data, (oh, ow, n, n, C), (s0 * stride, s1 * stride, s0, s1, s2))
-    flat = windows.reshape(oh, ow, n * n, C)
-    arg = flat.argmax(axis=2)
-    out_data = np.take_along_axis(flat, arg[:, :, None, :], axis=2)[:, :, 0, :]
+    hs, ws = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+    out_data = x.data[:hs:stride, :ws:stride].copy()
+    for k in range(1, n * n):
+        u, v = divmod(k, n)
+        np.maximum(x.data[u:u + hs:stride, v:v + ws:stride], out_data, out=out_data)
 
     def bw(g):
         if not x.requires_grad:
             return
+        s0, s1, s2 = x.data.strides
+        windows = as_strided(x.data, (oh, ow, n, n, C), (s0 * stride, s1 * stride, s0, s1, s2))
+        arg = windows.reshape(oh, ow, n * n, C).argmax(axis=2)
         dx = np.zeros_like(x.data)
         ii, jj, cc = np.meshgrid(np.arange(oh), np.arange(ow), np.arange(C), indexing="ij")
         u, v = arg // n, arg % n

@@ -127,10 +127,23 @@ def _param_dtype(params):
     return params["featnet/conv0_w"].data.dtype
 
 
+def _as_frame(frame, dtype):
+    """A frame as an (H,W,3) array of `dtype`: a gray (H,W) frame is repeated
+    into 3 channels and a uint8 frame is scaled to [0,1] as `ppm.read_ppm`
+    scales it. Any other layout raises ValueError."""
+    frame = np.asarray(frame)
+    if frame.dtype == np.uint8:
+        frame = frame.astype(np.float32) / 255.0
+    if frame.ndim == 2:
+        frame = np.repeat(frame[:, :, None], 3, axis=2)
+    if frame.ndim != 3 or frame.shape[2] != 3:
+        raise ValueError(f"expected an (H,W) or (H,W,3) frame, got shape {frame.shape}")
+    return np.asarray(frame, dtype=dtype)
+
+
 def extract_template(frame, box, params, cfg: ModelConfig):
     cx, cy, side = object_roi(box, cfg.context_factor)
-    patch = crop_resize(np.asarray(frame, dtype=_param_dtype(params)), cx, cy, side,
-                        cfg.net.object_size)
+    patch = crop_resize(_as_frame(frame, _param_dtype(params)), cx, cy, side, cfg.net.object_size)
     return featnet.extract_features(Tensor(patch), params, cfg.net)
 
 
@@ -222,7 +235,7 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
     """
     if not isinstance(state, TrackState):
         raise RuntimeError("tracker state not initialized; call init() first")
-    frame = np.asarray(frame, dtype=_param_dtype(params))
+    frame = _as_frame(frame, _param_dtype(params))
     box = state.box
     cx, cy, base_side = search_roi(box, cfg)
     scales = cfg.scale_factors

@@ -39,3 +39,22 @@ def oracle_distractors(score, tau, ratio, top_k):
 
 def distractor_coords(dset):
     return [] if dset.is_sentinel else dset.coords
+
+
+def oracle_max_pool(x, n, stride):
+    """Nested-loop valid max-pooling of an (H,W,C) map. Each window keeps its
+    first maximum in row-major order; a NaN, once met, stays."""
+    H, W, C = x.shape
+    oh, ow = (H - n) // stride + 1, (W - n) // stride + 1
+    out = np.empty((oh, ow, C), dtype=x.dtype)
+    for i in range(oh):
+        for j in range(ow):
+            for c in range(C):
+                best = x[i * stride, j * stride, c]
+                for u in range(n):
+                    for v in range(n):
+                        val = x[i * stride + u, j * stride + v, c]
+                        if not np.isnan(best) and (val > best or np.isnan(val)):
+                            best = val
+                out[i, j, c] = best
+    return out

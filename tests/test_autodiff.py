@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from memtracker import autodiff as ad
+from memtracker import gradcheck
 from memtracker.autodiff import Tensor
+from oracles import oracle_max_pool
 
 
 def t64(data, requires_grad=False):
@@ -103,6 +105,63 @@ def test_avg_pool_output_extent(rng):
     m = t64(rng.standard_normal((9, 9, 2)))
     out = ad.avg_pool(m, 3, 2)
     assert out.data.shape == ((9 - 3) // 2 + 1, (9 - 3) // 2 + 1, 2)
+
+
+# --- max_pool ----------------------------------------------------------------
+
+@pytest.mark.parametrize("n,stride", [(3, 2), (2, 2), (3, 3)])
+@pytest.mark.parametrize("shape", [(9, 9, 4), (10, 8, 3), (12, 13, 2)])
+def test_max_pool_matches_loop_reference(rng, n, stride, shape):
+    x = rng.standard_normal(shape).astype(np.float32)
+    out = ad.max_pool(Tensor(x), n, stride).data
+    assert out.dtype == np.float32
+    assert out.tobytes() == oracle_max_pool(x, n, stride).tobytes()
+
+
+def test_max_pool_keeps_sign_of_first_zero(rng):
+    x = np.where(rng.random((9, 9, 3)) < 0.5, -0.0, 0.0).astype(np.float32)
+    out = ad.max_pool(Tensor(x), 3, 2).data
+    assert out.tobytes() == oracle_max_pool(x, 3, 2).tobytes()
+    assert np.array_equal(np.signbit(out), np.signbit(x[:7:2, :7:2]))
+
+
+def test_max_pool_no_grad_bit_identical(rng):
+    x = rng.standard_normal((11, 11, 5)).astype(np.float32)
+    recorded = ad.max_pool(Tensor(x, requires_grad=True), 3, 2)
+    with ad.no_grad():
+        bare = ad.max_pool(Tensor(x, requires_grad=True), 3, 2)
+    assert recorded.requires_grad and not bare.requires_grad
+    assert recorded.data.tobytes() == bare.data.tobytes()
+
+
+def test_max_pool_nan_window():
+    x = np.arange(25.0).reshape(5, 5, 1)
+    x[1, 1, 0] = np.nan
+    out = ad.max_pool(t64(x), 3, 2).data[..., 0]
+    assert np.isnan(out[0, 0])
+    assert out[0, 1] == 14.0 and out[1, 0] == 22.0 and out[1, 1] == 24.0
+
+
+def test_max_pool_window_too_large():
+    with pytest.raises(ValueError):
+        ad.max_pool(t64(np.zeros((3, 4, 1))), 4, 1)
+
+
+def test_max_pool_overlapping_gradcheck(rng):
+    # distinct values 0.01 apart: no +/-h nudge reorders a window
+    x = t64((rng.permutation(7 * 9 * 2) * 0.01).reshape(7, 9, 2), requires_grad=True)
+    w = rng.standard_normal((3, 4, 2))
+    err = gradcheck.check_gradients(lambda: ad.tsum(ad.mul(ad.max_pool(x, 3, 2), w)), [x])
+    assert err < 1e-6
+
+
+def test_max_pool_tie_gradient_goes_to_first_maximum():
+    x = t64(np.zeros((3, 3, 1)), requires_grad=True)
+    x.data[1, 0, 0] = x.data[0, 2, 0] = x.data[2, 2, 0] = 1.0
+    ad.backward(ad.tsum(ad.max_pool(x, 3, 2)))
+    expect = np.zeros((3, 3, 1))
+    expect[0, 2, 0] = 1.0
+    assert np.array_equal(x.grad, expect)
 
 
 # --- cross_correlate ---------------------------------------------------------

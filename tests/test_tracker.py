@@ -242,3 +242,39 @@ def test_static_target_tracked_with_random_weights(desk_cfg, desk_params):
                                    ablation="frozen")
     ious = [evaluate.iou(p, g) for p, g in zip(boxes, v.boxes)]
     assert np.mean(ious) > 0.5
+
+
+# --- frame input ---------------------------------------------------------------
+
+def _boxes(boxes):
+    return [(b.cx, b.cy, b.w, b.h) for b in boxes]
+
+
+def test_uint8_frames_track_like_read_ppm_floats(desk_cfg, desk_params):
+    v = _video(seed=6, frames=5, drift=0.5, distractors=1)
+    raw = [(np.clip(f, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8) for f in v.frames]
+    as_read = [r.astype(np.float32) / 255.0 for r in raw]
+    # the boxes alone can miss a 255x input scale; the template cannot
+    a = tracker.init(raw[0], v.boxes[0], desk_params, desk_cfg)
+    b = tracker.init(as_read[0], v.boxes[0], desk_params, desk_cfg)
+    assert a.initial_template.data.tobytes() == b.initial_template.data.tobytes()
+    assert _boxes(tracker.track_sequence(raw, v.boxes[0], desk_params, desk_cfg)) == \
+        _boxes(tracker.track_sequence(as_read, v.boxes[0], desk_params, desk_cfg))
+
+
+def test_gray_frames_track_like_three_channel_repeat(desk_cfg, desk_params):
+    v = _video(seed=6, frames=5, drift=0.5, distractors=1)
+    gray = [f.mean(axis=2) for f in v.frames]
+    rgb = [np.repeat(g[:, :, None], 3, axis=2) for g in gray]
+    assert _boxes(tracker.track_sequence(gray, v.boxes[0], desk_params, desk_cfg)) == \
+        _boxes(tracker.track_sequence(rgb, v.boxes[0], desk_params, desk_cfg))
+
+
+def test_four_channel_frame_rejected(desk_cfg, desk_params):
+    v = _video()
+    rgba = np.concatenate([v.frames[0], np.ones_like(v.frames[0][..., :1])], axis=2)
+    with pytest.raises(ValueError, match=r"\(96, 96, 4\)"):
+        tracker.init(rgba, v.boxes[0], desk_params, desk_cfg)
+    state = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg)
+    with pytest.raises(ValueError, match=r"\(96, 96, 4\)"):
+        tracker.step(state, rgba, desk_params, desk_cfg)
