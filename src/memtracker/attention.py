@@ -13,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .featnet import glorot
 
 
 @dataclass
@@ -58,14 +59,9 @@ def uniform_attended_vector(bank: PatchBank):
 
 def init_attention(hidden, channels, attn_size, seed, dtype=np.float32):
     rng = np.random.default_rng(seed)
-
-    def glorot(shape, fi, fo):
-        lim = np.sqrt(6.0 / (fi + fo))
-        return Tensor(rng.uniform(-lim, lim, size=shape).astype(dtype), requires_grad=True)
-
     return {
-        "attn/wa": glorot((1, attn_size), attn_size, 1),
-        "attn/wh": glorot((attn_size, hidden), hidden, attn_size),
-        "attn/wf": glorot((attn_size, channels), channels, attn_size),
+        "attn/wa": glorot(rng, (1, attn_size), attn_size, 1, dtype),
+        "attn/wh": glorot(rng, (attn_size, hidden), hidden, attn_size, dtype),
+        "attn/wf": glorot(rng, (attn_size, channels), channels, attn_size, dtype),
         "attn/b": Tensor(np.zeros(attn_size, dtype=dtype), requires_grad=True),
     }

@@ -444,14 +444,28 @@ def layer_norm(v, gain, bias, eps=1e-5):
     return add(mul(gain, mul(centered, inv)), bias)
 
 
-def _im2col(x, kh, kw, stride):
-    """(H,W,C) -> (oh*ow, kh*kw*C) patch matrix (row-major over output cells)."""
+def _windows(x, n, m, stride, op):
+    """Read-only (oh, ow, n, m, C) view of every n-by-m window of the (H,W,C)
+    map `x` at `stride`, valid placement only; `op` names the caller in errors."""
     H, W, C = x.shape
-    oh = (H - kh) // stride + 1
-    ow = (W - kw) // stride + 1
+    if stride < 1:
+        raise ValueError(f"{op} stride must be positive, got {stride}")
+    if not (1 <= n <= H and 1 <= m <= W):
+        raise ValueError(f"{op} window {n}x{m} does not fit input extent {H}x{W}")
     s0, s1, s2 = x.strides
-    windows = as_strided(x, (oh, ow, kh, kw, C), (s0 * stride, s1 * stride, s0, s1, s2))
-    return windows.reshape(oh * ow, kh * kw * C), oh, ow
+    shape = ((H - n) // stride + 1, (W - m) // stride + 1, n, m, C)
+    return as_strided(x, shape, (s0 * stride, s1 * stride, s0, s1, s2), writeable=False)
+
+
+def _col2im(cols, shape, stride):
+    """Adjoint of `_windows`: add (n, m, oh, ow, C) per-window values back onto
+    a zero (H,W,C) map, one strided add per window offset."""
+    n, m, oh, ow, _ = cols.shape
+    out = np.zeros(shape, dtype=cols.dtype)
+    for u in range(n):
+        for v in range(m):
+            out[u:u + (oh - 1) * stride + 1:stride, v:v + (ow - 1) * stride + 1:stride] += cols[u, v]
+    return out
 
 
 def conv2d(x, kernels, stride=1):
@@ -464,37 +478,21 @@ def conv2d(x, kernels, stride=1):
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if x.data.ndim != 3 or kernels.data.ndim != 4:
         raise ValueError("conv2d expects (H,W,C) input and (kh,kw,Cin,Cout) kernels")
-    H, W, Cin = x.data.shape
-    kh, kw, kc, cout = kernels.data.shape
-    if kc != Cin:
-        raise ValueError(f"conv2d channel mismatch: input has {Cin}, kernels expect {kc}")
-    if kh > H or kw > W:
-        raise ValueError(f"conv2d kernel {kh}x{kw} larger than input {H}x{W}")
-    col, oh, ow = _im2col(x.data, kh, kw, stride)
-    wflat = kernels.data.reshape(kh * kw * Cin, cout)
-    out_data = (col @ wflat).reshape(oh, ow, cout)
+    kh, kw, cin, cout = kernels.data.shape
+    if cin != x.data.shape[2]:
+        raise ValueError(f"conv2d channel mismatch: input has {x.data.shape[2]}, kernels expect {cin}")
+    windows = _windows(x.data, kh, kw, stride, "conv2d")
+    oh, ow = windows.shape[:2]
+    col = windows.reshape(oh * ow, kh * kw * cin)
+    out_data = (col @ kernels.data.reshape(kh * kw * cin, cout)).reshape(oh, ow, cout)
 
     def bw(g):
         gflat = g.reshape(oh * ow, cout)
         if kernels.requires_grad:
             kernels._accumulate((col.T @ gflat).reshape(kernels.data.shape))
         if x.requires_grad:
-            # full correlation of the (dilated, padded) output grad with the
-            # spatially flipped kernels recovers the input gradient
-            if stride > 1:
-                gd = np.zeros(((oh - 1) * stride + 1, (ow - 1) * stride + 1, cout), dtype=g.dtype)
-                gd[::stride, ::stride] = g
-            else:
-                gd = g
-            gp = np.pad(gd, ((kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-            wrot = kernels.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, Cin)
-            gcol, gh, gw = _im2col(gp, kh, kw, 1)
-            dx = (gcol @ wrot).reshape(gh, gw, Cin)
-            if (gh, gw) != (H, W):  # stride did not tile the input exactly
-                full = np.zeros_like(x.data)
-                full[:gh, :gw] = dx
-                dx = full
-            x._accumulate(dx)
+            cols = np.matmul(gflat, kernels.data.reshape(kh * kw, cin, cout).transpose(0, 2, 1))
+            x._accumulate(_col2im(cols.reshape(kh, kw, oh, ow, cin), x.data.shape, stride))
 
     return _make(out_data, (x, kernels), bw)
 
@@ -505,24 +503,20 @@ def cross_correlate(search, template):
     search: (H,W,C); template: (n,n,C); output: (H-n+1, W-n+1).
     """
     search, template = _as_tensor(search), _as_tensor(template)
-    H, W, C = search.data.shape
-    n, n2, tc = template.data.shape
-    if tc != C:
-        raise ValueError(f"cross_correlate channel mismatch: {C} vs {tc}")
-    if n > H or n2 > W:
-        raise ValueError("template larger than search map")
-    col, oh, ow = _im2col(search.data, n, n2, 1)
+    n, n2, c = template.data.shape
+    if c != search.data.shape[2]:
+        raise ValueError(f"cross_correlate channel mismatch: {search.data.shape[2]} vs {c}")
+    windows = _windows(search.data, n, n2, 1, "cross_correlate")
+    oh, ow = windows.shape[:2]
+    col = windows.reshape(oh * ow, n * n2 * c)
     out_data = (col @ template.data.reshape(-1)).reshape(oh, ow)
 
     def bw(g):
-        gflat = g.reshape(-1)
         if template.requires_grad:
-            template._accumulate((col.T @ gflat).reshape(template.data.shape))
+            template._accumulate((col.T @ g.reshape(-1)).reshape(template.data.shape))
         if search.requires_grad:
-            gp = np.pad(g, ((n - 1, n - 1), (n2 - 1, n2 - 1)))
-            gcol, gh, gw = _im2col(gp[:, :, None], n, n2, 1)
-            tflip = template.data[::-1, ::-1].reshape(n * n2, C)
-            search._accumulate((gcol @ tflip).reshape(gh, gw, C))
+            cols = template.data[:, :, None, None, :] * g[:, :, None]
+            search._accumulate(_col2im(cols, search.data.shape, 1))
 
     return _make(out_data, (search, template), bw)
 
@@ -530,26 +524,12 @@ def cross_correlate(search, template):
 def avg_pool(x, n, stride):
     """Mean over each n-by-n window per channel; valid placement only."""
     x = _as_tensor(x)
-    H, W, C = x.data.shape
-    if n > H or n > W:
-        raise ValueError(f"avg_pool window {n} exceeds input extent {H}x{W}")
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    s0, s1, s2 = x.data.strides
-    oh = (H - n) // stride + 1
-    ow = (W - n) // stride + 1
-    windows = as_strided(x.data, (oh, ow, n, n, C), (s0 * stride, s1 * stride, s0, s1, s2))
-    out_data = windows.mean(axis=(2, 3))
+    out_data = _windows(x.data, n, n, stride, "avg_pool").mean(axis=(2, 3))
 
     def bw(g):
-        if not x.requires_grad:
-            return
-        dx = np.zeros_like(x.data)
-        gs = g / (n * n)
-        for u in range(n):
-            for v in range(n):
-                dx[u:u + oh * stride:stride, v:v + ow * stride:stride] += gs
-        x._accumulate(dx)
+        if x.requires_grad:
+            cols = np.broadcast_to(g / (n * n), (n, n) + g.shape)
+            x._accumulate(_col2im(cols, x.data.shape, stride))
 
     return _make(out_data, (x,), bw)
 
@@ -564,28 +544,18 @@ def max_pool(x, n, stride):
     backward's argmax routes the gradient to.
     """
     x = _as_tensor(x)
-    H, W, C = x.data.shape
-    if n > H or n > W:
-        raise ValueError(f"max_pool window {n} exceeds input extent {H}x{W}")
-    oh = (H - n) // stride + 1
-    ow = (W - n) // stride + 1
-    hs, ws = (oh - 1) * stride + 1, (ow - 1) * stride + 1
-    out_data = x.data[:hs:stride, :ws:stride].copy()
+    windows = _windows(x.data, n, n, stride, "max_pool")
+    out_data = windows[:, :, 0, 0].copy()
     for k in range(1, n * n):
-        u, v = divmod(k, n)
-        np.maximum(x.data[u:u + hs:stride, v:v + ws:stride], out_data, out=out_data)
+        np.maximum(windows[:, :, k // n, k % n], out_data, out=out_data)
 
     def bw(g):
-        if not x.requires_grad:
-            return
-        s0, s1, s2 = x.data.strides
-        windows = as_strided(x.data, (oh, ow, n, n, C), (s0 * stride, s1 * stride, s0, s1, s2))
-        arg = windows.reshape(oh, ow, n * n, C).argmax(axis=2)
-        dx = np.zeros_like(x.data)
-        ii, jj, cc = np.meshgrid(np.arange(oh), np.arange(ow), np.arange(C), indexing="ij")
-        u, v = arg // n, arg % n
-        np.add.at(dx, (ii * stride + u, jj * stride + v, cc), g)
-        x._accumulate(dx)
+        if x.requires_grad:
+            oh, ow, _, _, c = windows.shape
+            first = windows.reshape(oh, ow, n * n, c).argmax(axis=2)
+            hot = np.arange(n * n)[:, None, None, None] == first
+            cols = np.where(hot, g, 0.0).reshape(n, n, oh, ow, c)
+            x._accumulate(_col2im(cols, x.data.shape, stride))
 
     return _make(out_data, (x,), bw)
 

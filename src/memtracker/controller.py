@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .featnet import glorot
 
 GATES = ("i", "f", "o", "n")  # input, forget, output, candidate
 
@@ -30,26 +31,21 @@ class ControlSignals:
 def init_controller(hidden, channels, seed, dtype=np.float32):
     """Parameter dict keyed 'ctrl/...'; forget-gate norm bias starts at 1."""
     rng = np.random.default_rng(seed)
-
-    def glorot(shape, fi, fo):
-        lim = np.sqrt(6.0 / (fi + fo))
-        return Tensor(rng.uniform(-lim, lim, size=shape).astype(dtype), requires_grad=True)
-
     p = {}
     for g in GATES:
-        p[f"ctrl/wx_{g}"] = glorot((hidden, channels), channels, hidden)
-        p[f"ctrl/wh_{g}"] = glorot((hidden, hidden), hidden, hidden)
+        p[f"ctrl/wx_{g}"] = glorot(rng, (hidden, channels), channels, hidden, dtype)
+        p[f"ctrl/wh_{g}"] = glorot(rng, (hidden, hidden), hidden, hidden, dtype)
         p[f"ctrl/ln_{g}_gain"] = Tensor(np.ones(hidden, dtype=dtype), requires_grad=True)
         bias = np.ones(hidden, dtype=dtype) if g == "f" else np.zeros(hidden, dtype=dtype)
         p[f"ctrl/ln_{g}_bias"] = Tensor(bias, requires_grad=True)
     heads = {"key": channels, "beta": 1, "res": channels, "gates": 3, "decay": 1}
     for name, width in heads.items():
-        p[f"ctrl/w_{name}"] = glorot((width, hidden), hidden, width)
+        p[f"ctrl/w_{name}"] = glorot(rng, (width, hidden), hidden, width, dtype)
         p[f"ctrl/b_{name}"] = Tensor(np.zeros(width, dtype=dtype), requires_grad=True)
     # initial-state maps from the pooled initial template
-    p["ctrl/w_h0"] = glorot((hidden, channels), channels, hidden)
+    p["ctrl/w_h0"] = glorot(rng, (hidden, channels), channels, hidden, dtype)
     p["ctrl/b_h0"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-    p["ctrl/w_c0"] = glorot((hidden, channels), channels, hidden)
+    p["ctrl/w_c0"] = glorot(rng, (hidden, channels), channels, hidden, dtype)
     p["ctrl/b_c0"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
     return p
 

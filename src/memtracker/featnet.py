@@ -10,6 +10,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
+_POOLS = {"max": ad.max_pool, "avg": ad.avg_pool}
+
 
 @dataclass(frozen=True)
 class ConvLayer:
@@ -18,6 +20,12 @@ class ConvLayer:
     channels: int
     relu: bool = True
     pool: tuple | None = None  # (kind "max"|"avg", size, stride)
+
+    def __post_init__(self):
+        if min(self.kernel, self.stride, self.channels) < 1:
+            raise ValueError(f"conv layer kernel, stride and channels must be >= 1, got {self}")
+        if self.pool is not None and (self.pool[0] not in _POOLS or min(self.pool[1:]) < 1):
+            raise ValueError(f"conv layer pool must be None or (max|avg, size >= 1, stride >= 1), got {self}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +71,10 @@ class FeatureNetConfig:
         return s
 
 
-def _glorot(rng, shape, fan_in, fan_out, dtype):
+def glorot(rng, shape, fan_in, fan_out, dtype):
+    """Trainable Glorot-uniform tensor: U(-l, l), l = sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return Tensor(rng.uniform(-limit, limit, size=shape).astype(dtype), requires_grad=True)
 
 
 def init_feature_net(cfg: FeatureNetConfig, seed, dtype=np.float32):
@@ -79,14 +88,14 @@ def init_feature_net(cfg: FeatureNetConfig, seed, dtype=np.float32):
         shape = (ly.kernel, ly.kernel, cin, ly.channels)
         fan_in = ly.kernel * ly.kernel * cin
         fan_out = ly.kernel * ly.kernel * ly.channels
-        params[f"featnet/conv{i}_w"] = Tensor(_glorot(rng, shape, fan_in, fan_out, dtype), requires_grad=True)
+        params[f"featnet/conv{i}_w"] = glorot(rng, shape, fan_in, fan_out, dtype)
         params[f"featnet/conv{i}_b"] = Tensor(np.zeros(ly.channels, dtype=dtype), requires_grad=True)
         cin = ly.channels
     n, c = cfg.template_size, cfg.channels
     flat = n * n * c
-    params["featnet/cls_w1"] = Tensor(_glorot(rng, (cfg.cls_hidden, flat), flat, cfg.cls_hidden, dtype), requires_grad=True)
+    params["featnet/cls_w1"] = glorot(rng, (cfg.cls_hidden, flat), flat, cfg.cls_hidden, dtype)
     params["featnet/cls_b1"] = Tensor(np.zeros(cfg.cls_hidden, dtype=dtype), requires_grad=True)
-    params["featnet/cls_w2"] = Tensor(_glorot(rng, (cfg.num_classes, cfg.cls_hidden), cfg.cls_hidden, cfg.num_classes, dtype), requires_grad=True)
+    params["featnet/cls_w2"] = glorot(rng, (cfg.num_classes, cfg.cls_hidden), cfg.cls_hidden, cfg.num_classes, dtype)
     params["featnet/cls_b2"] = Tensor(np.zeros(cfg.num_classes, dtype=dtype), requires_grad=True)
     return params
 
@@ -112,7 +121,7 @@ def extract_features(patch, params, cfg: FeatureNetConfig):
             x = ad.relu(x)
         if ly.pool is not None:
             kind, pn, ps = ly.pool
-            x = (ad.max_pool if kind == "max" else ad.avg_pool)(x, pn, ps)
+            x = _POOLS[kind](x, pn, ps)
     return x
 
 

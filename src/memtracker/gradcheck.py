@@ -129,6 +129,15 @@ def primitive_checks(seed, h=1e-5):
         lambda: _weighted(ad.div(ad.mul(ad.add(e1, e2), ad.sub(e1, e2)),
                                  ad.add(ad.mul(e2, e2), 2.0)),
                           np.random.default_rng(seed + 14)), [e1, e2], h)
+
+    # drawn last, so every check above keeps its inputs
+    cu = _rand(rng, 8, 9, 2)  # stride 2 leaves the last row untouched
+    results["conv2d_s2_untiled"] = check_gradients(
+        lambda: _weighted(ad.conv2d(cu, kern, 2), np.random.default_rng(seed + 15)), [cu, kern], h)
+
+    imgm3 = _rand(rng, 9, 9, 2)
+    results["max_pool_3s2"] = check_gradients(
+        lambda: _weighted(ad.max_pool(imgm3, 3, 2), np.random.default_rng(seed + 16)), [imgm3], h)
     return results
 
 

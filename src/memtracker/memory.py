@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -154,13 +155,7 @@ def _local_maxima(score):
     H, W = score.shape
     padded = np.full((H + 2, W + 2), -np.inf)
     padded[1:-1, 1:-1] = score
-    mask = np.ones_like(score, dtype=bool)
-    for du in (-1, 0, 1):
-        for dv in (-1, 0, 1):
-            if du == 0 and dv == 0:
-                continue
-            mask &= score >= padded[1 + du:H + 1 + du, 1 + dv:W + 1 + dv]
-    return mask
+    return score >= sliding_window_view(padded, (3, 3)).max(axis=(2, 3))
 
 
 def extract_distractors(score_map, search_features, tau, score_ratio, top_k, template_n):

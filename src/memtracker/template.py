@@ -11,6 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .featnet import glorot
 
 
 def residual_combine(initial, retrieved, residual_gate):
@@ -44,14 +45,9 @@ def response(search_features, final_template):
 
 def init_cancel(channels, seed, dtype=np.float32):
     rng = np.random.default_rng(seed)
-
-    def glorot(shape, fi, fo):
-        lim = np.sqrt(6.0 / (fi + fo))
-        return Tensor(rng.uniform(-lim, lim, size=shape).astype(dtype), requires_grad=True)
-
     return {
-        "cancel/w_pos": glorot((channels, channels), channels, channels),
-        "cancel/w_neg": glorot((channels, channels), channels, channels),
+        "cancel/w_pos": glorot(rng, (channels, channels), channels, channels, dtype),
+        "cancel/w_neg": glorot(rng, (channels, channels), channels, channels, dtype),
         "cancel/b": Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
-        "cancel/w_out": glorot((channels, channels), channels, channels),
+        "cancel/w_out": glorot(rng, (channels, channels), channels, channels, dtype),
     }

@@ -130,7 +130,8 @@ def _param_dtype(params):
 def _as_frame(frame, dtype):
     """A frame as an (H,W,3) array of `dtype`: a gray (H,W) frame is repeated
     into 3 channels and a uint8 frame is scaled to [0,1] as `ppm.read_ppm`
-    scales it. Any other layout raises ValueError."""
+    scales it. Any other layout, or a NaN or infinite pixel, raises
+    ValueError, so a bad frame cannot reach the memories."""
     frame = np.asarray(frame)
     if frame.dtype == np.uint8:
         frame = frame.astype(np.float32) / 255.0
@@ -138,7 +139,10 @@ def _as_frame(frame, dtype):
         frame = np.repeat(frame[:, :, None], 3, axis=2)
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise ValueError(f"expected an (H,W) or (H,W,3) frame, got shape {frame.shape}")
-    return np.asarray(frame, dtype=dtype)
+    frame = np.asarray(frame, dtype=dtype)
+    if not np.isfinite(frame).all():
+        raise ValueError("frame has NaN or infinite pixels")
+    return frame
 
 
 def extract_template(frame, box, params, cfg: ModelConfig):

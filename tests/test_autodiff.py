@@ -309,6 +309,34 @@ def test_conv2d_channel_mismatch():
         ad.conv2d(t64(np.zeros((5, 5, 2))), t64(np.zeros((3, 3, 3, 4))), 1)
 
 
+def test_conv2d_zero_stride_rejected():
+    with pytest.raises(ValueError, match="conv2d stride"):
+        ad.conv2d(t64(np.zeros((5, 5, 1))), t64(np.zeros((3, 3, 1, 1))), 0)
+
+
+# --- window view and its col2im adjoint ---------------------------------------
+
+@pytest.mark.parametrize("n,m,stride", [(1, 1, 1), (3, 3, 1), (3, 3, 2), (3, 2, 2), (2, 3, 3), (5, 4, 2)])
+@pytest.mark.parametrize("shape", [(9, 9, 2), (8, 11, 3)])
+def test_col2im_is_adjoint_of_windows(rng, n, m, stride, shape):
+    # <windows(x), c> == <x, col2im(c)>, on extents the stride tiles and does not
+    x = rng.standard_normal(shape)
+    view = ad._windows(x, n, m, stride, "test")
+    c = rng.standard_normal((n, m) + view.shape[:2] + shape[2:])
+    lhs = np.sum(view.transpose(2, 3, 0, 1, 4) * c)
+    rhs = np.sum(x * ad._col2im(c, shape, stride))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_windows_rejects_bad_geometry_naming_the_op():
+    x = np.zeros((4, 5, 1))
+    view = ad._windows(x, 4, 5, 1, "op")
+    assert view.shape == (1, 1, 4, 5, 1) and not view.flags.writeable
+    for n, m, stride in [(5, 1, 1), (1, 6, 1), (0, 1, 1), (2, 2, 0)]:
+        with pytest.raises(ValueError, match="myop"):
+            ad._windows(x, n, m, stride, "myop")
+
+
 # --- backward ----------------------------------------------------------------
 
 def test_backward_sum_of_squares(rng):

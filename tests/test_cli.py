@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from memtracker.checkpoint import save_config
 from memtracker.cli import main
+from memtracker.model import config_from_dict, config_to_dict, desk_config
 
 
 def run(argv):
@@ -111,6 +113,29 @@ def test_eval_json_deterministic(trained, tmp_path):
 def test_missing_checkpoint_is_clean_error(tmp_path):
     assert run(["track", "--ckpt", str(tmp_path / "nope.ckpt"),
                 "--seq", str(tmp_path), "--out", str(tmp_path / "r.txt")]) == 2
+
+
+# zero stride, zero pool size, unknown pool kind
+IMPOSSIBLE_LAYERS = ["5,0,32,1,none,0,0", "5,2,32,1,avg,0,2", "5,2,32,1,median,2,2"]
+
+
+@pytest.mark.parametrize("layer0", IMPOSSIBLE_LAYERS)
+def test_config_rejects_impossible_conv_layer(layer0):
+    entries = config_to_dict(desk_config())
+    entries["layer0"] = layer0
+    with pytest.raises(ValueError, match="conv layer"):
+        config_from_dict(entries)
+
+
+@pytest.mark.parametrize("layer0", IMPOSSIBLE_LAYERS)
+def test_track_with_impossible_conv_layer_is_clean_error(trained, tmp_path, layer0):
+    ckpt, seq = trained
+    entries = config_to_dict(desk_config())
+    entries["layer0"] = layer0
+    bad = tmp_path / "bad.cfg"
+    save_config(str(bad), entries)
+    assert run(["track", "--ckpt", str(ckpt), "--seq", str(seq), "--out", str(tmp_path / "r.txt"),
+                "--config", str(bad)]) == 2
 
 
 def test_gradcheck_exit_zero():

@@ -1,5 +1,7 @@
 """The per-frame pipeline shared by tracking and training, and the model
-config file format."""
+config file format and initial parameter bits."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from memtracker import autodiff as ad
 from memtracker import checkpoint as ckpt
 from memtracker import featnet, synth, template, tracker
 from memtracker.autodiff import Tensor
-from memtracker.model import config_from_dict, config_to_dict, desk_config, full_config
+from memtracker.model import config_from_dict, config_to_dict, desk_config, full_config, init_params, micro_config
 
 
 def _unroll(video, params, cfg):
@@ -104,3 +106,22 @@ def test_config_file_format_is_kept(tmp_path, text, cfg):
     assert config_from_dict(ckpt.load_config(path)) == cfg
     ckpt.save_config(path, config_to_dict(cfg))
     assert path.read_text() == text
+
+
+def _params_digest(params):
+    h = hashlib.sha256()
+    for name, t in params.items():
+        h.update(f"{name} {t.data.dtype} {t.data.shape}".encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("make,digest", [
+    (lambda: init_params(desk_config(), 3),
+     "1ea7b73b2f8734bac729217a762b67c097882e9327866ee2027d5bfcb691b7a8"),
+    (lambda: init_params(micro_config(), 0, np.float64),
+     "f64ce86074939be976156cd9221a522c9c993a41c32c134cc77ae42cc587b23f"),
+])
+def test_init_params_bits_are_kept(make, digest):
+    # every saved checkpoint, bench figure and seeded result starts from these bits
+    assert _params_digest(make()) == digest

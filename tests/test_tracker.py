@@ -270,6 +270,24 @@ def test_gray_frames_track_like_three_channel_repeat(desk_cfg, desk_params):
         _boxes(tracker.track_sequence(rgb, v.boxes[0], desk_params, desk_cfg))
 
 
+@pytest.mark.parametrize("bad_pixel", [np.nan, np.inf])
+def test_non_finite_frame_rejected(desk_cfg, desk_params, bad_pixel):
+    v = _video()
+    bad = v.frames[1].copy()
+    bad[40, 50, 1] = bad_pixel
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        tracker.init(bad, v.boxes[0], desk_params, desk_cfg)
+    with ad.no_grad():
+        state = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            tracker.step(state, bad, desk_params, desk_cfg)
+        # the rejected frame left the state as it was
+        _, box = tracker.step(state, v.frames[1], desk_params, desk_cfg)
+        fresh = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg)
+        _, clean = tracker.step(fresh, v.frames[1], desk_params, desk_cfg)
+    assert box == clean
+
+
 def test_four_channel_frame_rejected(desk_cfg, desk_params):
     v = _video()
     rgba = np.concatenate([v.frames[0], np.ones_like(v.frames[0][..., :1])], axis=2)
