@@ -49,14 +49,11 @@ def cmd_synth(args):
     return 0
 
 
-def _load_model_config(args, default=None):
-    if getattr(args, "config", None):
-        return config_from_dict(ckpt.load_config(args.config))
-    return default if default is not None else desk_config()
-
-
 def cmd_train(args):
-    cfg = _load_model_config(args, desk_config(num_classes=args.classes))
+    if args.config:
+        cfg = config_from_dict(ckpt.load_config(args.config))
+    else:
+        cfg = desk_config(num_classes=args.classes)
     if args.train_config:
         tc = train.train_config_from_dict(ckpt.load_config(args.train_config))
     else:

@@ -4,9 +4,9 @@ Both memories are addressed by cosine similarity between a controller read
 key and per-slot keys (the spatial mean of each stored template). The
 positive memory writes through skip/read/allocate gates with an erase
 factor; the negative memory is queue-like, always overwriting the least
-accessed slots. Each memory owns an access vector that decays every write
-step and accumulates read and write weights, driving allocation of stale
-slots.
+accessed slots; all writes are one slot blend with different weights. Each
+memory owns an access vector that decays every write step and accumulates
+read and write weights, driving allocation of stale slots.
 
 Slot selection indices (argmin, top-K, argmax) are treated as constants by
 the backward pass; gradients flow only through the continuous weights and
@@ -16,6 +16,7 @@ the template contents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,8 +31,6 @@ class MemoryState:
     keys: Tensor         # (N, C), spatial mean of each slot
     access: np.ndarray   # (N,), nonnegative usage trace
     decay: float         # access decay per write step
-    queue_head: int = 0  # next slot for queue-mode writes
-    occupied: int = 0    # slots written so far (queue mode bookkeeping)
 
     @property
     def size(self):
@@ -96,6 +95,14 @@ def allocation_weight(access):
     return w
 
 
+def _write(mem: MemoryState, blend, written, *usage):
+    """The one slot update: M' = M (1 - blend) + written for an (N,1,1,1)
+    blend, keys recomputed from M', and access a' = decay * a + usage_1 + ..."""
+    slots = ad.add(ad.mul(mem.slots, ad.sub(1.0, blend)), written)
+    return MemoryState(slots=slots, keys=_keys_of(slots), access=sum(usage, mem.decay * mem.access),
+                       decay=mem.decay)
+
+
 def write_positive(mem: MemoryState, new_template, write_gates, read_weight, decay_rate):
     """Gated write of a new object template.
 
@@ -113,36 +120,25 @@ def write_positive(mem: MemoryState, new_template, write_gates, read_weight, dec
     w_write = ad.add(ad.mul(g_read, read_weight), ad.mul(g_alloc, alloc))
     erase = ad.add(ad.mul(ad.reshape(decay_rate, ()), g_read), g_alloc)
     blend = ad.reshape(ad.mul(w_write, erase), (mem.size, 1, 1, 1))
-    new_slots = ad.add(ad.mul(mem.slots, ad.sub(1.0, blend)), ad.mul(blend, new_template))
-    new_access = mem.decay * mem.access + read_weight.data + w_write.data
-    return MemoryState(slots=new_slots, keys=_keys_of(new_slots), access=new_access,
-                       decay=mem.decay, queue_head=mem.queue_head, occupied=min(mem.occupied + 1, mem.size))
-
-
-def forced_allocation_write(mem: MemoryState, template):
-    """Replace the least-accessed slot outright (used to seed the first template)."""
-    gates = Tensor(np.array([0.0, 0.0, 1.0], dtype=mem.slots.data.dtype))
-    zero_read = Tensor(np.zeros(mem.size, dtype=mem.slots.data.dtype))
-    decay = Tensor(np.zeros((), dtype=mem.slots.data.dtype))
-    return write_positive(mem, template, gates, zero_read, decay)
+    return _write(mem, blend, ad.mul(blend, new_template), read_weight.data, w_write.data)
 
 
 def queue_write(mem: MemoryState, new_template):
-    """Sequential overwrite of slots, oldest first (queue-style ablation)."""
-    j = mem.queue_head
-    onehot = np.zeros(mem.size, dtype=mem.slots.data.dtype)
-    onehot[j] = 1.0
-    blend = ad.reshape(Tensor(onehot), (mem.size, 1, 1, 1))
-    new_slots = ad.add(ad.mul(mem.slots, ad.sub(1.0, blend)), ad.mul(blend, new_template))
-    return MemoryState(slots=new_slots, keys=_keys_of(new_slots),
-                       access=mem.decay * mem.access + onehot.astype(np.float64),
-                       decay=mem.decay, queue_head=(j + 1) % mem.size,
-                       occupied=min(mem.occupied + 1, mem.size))
+    """Replace the least-accessed slot outright: the queue-style ablation's
+    write, and the seed of every positive memory.
+
+    Only writes raise a queue memory's access, and it decays by a factor in
+    (0, 1], so its least-accessed slot is always the oldest one and writes
+    cycle through the slots in order.
+    """
+    onehot = allocation_weight(mem.access)
+    blend = Tensor(onehot.astype(mem.slots.data.dtype).reshape(mem.size, 1, 1, 1))
+    return _write(mem, blend, ad.mul(blend, new_template), onehot)
 
 
 def queue_retrieve(mem: MemoryState):
-    """Mean of the occupied slots (queue-style ablation's read)."""
-    k = max(mem.occupied, 1)
+    """Mean of the written slots (queue-style ablation's read)."""
+    k = max(np.count_nonzero(mem.access), 1)
     n_slots, n, _, c = mem.slots.data.shape
     w = np.zeros(n_slots, dtype=mem.slots.data.dtype)
     w[:k] = 1.0 / k
@@ -158,8 +154,9 @@ def _local_maxima(score):
     return score >= sliding_window_view(padded, (3, 3)).max(axis=(2, 3))
 
 
-def extract_distractors(score_map, search_features, tau, score_ratio, top_k, template_n):
-    """Collect high, far-away response peaks as distractor templates.
+def extract_distractors(score, search_features, tau, score_ratio, top_k, template_n):
+    """Collect high, far-away peaks of the (P,P) ndarray `score` as distractor
+    templates cut from `search_features`.
 
     Candidates are the top_k strongest local maxima apart from the global
     peak; a candidate survives if its distance to the peak exceeds `tau`
@@ -167,7 +164,6 @@ def extract_distractors(score_map, search_features, tau, score_ratio, top_k, tem
     peak score. When nothing qualifies a single zero template stands in, which
     later cancels nothing.
     """
-    score = score_map.data if isinstance(score_map, Tensor) else np.asarray(score_map)
     H, W = score.shape
     best_flat = int(np.argmax(score))
     bi, bj = divmod(best_flat, W)
@@ -193,26 +189,16 @@ def extract_distractors(score_map, search_features, tau, score_ratio, top_k, tem
 def write_negative(mem: MemoryState, distractors: DistractorSet, read_weight=None):
     """Queue-like write of distractor templates into the least-accessed slots.
 
-    The k-th distractor replaces the k-th least-accessed slot (ties: lowest
-    index). The access vector decays once and absorbs this step's negative
-    read weight plus the allocation weights.
+    In one masked blend, the k-th distractor replaces the k-th least-accessed
+    slot (ties: lowest index). The access vector decays once and absorbs
+    this step's negative read weight (a Tensor or None) plus the mask.
     """
     k = len(distractors.templates)
     if k > mem.size:
         raise ValueError("more distractors than negative slots")
-    order = np.lexsort((np.arange(mem.size), mem.access))
-    targets = order[:k]
-    slots = mem.slots
-    alloc_total = np.zeros(mem.size)
-    for tmpl, j in zip(distractors.templates, targets):
-        onehot = np.zeros(mem.size, dtype=slots.data.dtype)
-        onehot[j] = 1.0
-        alloc_total[j] += 1.0
-        blend = ad.reshape(Tensor(onehot), (mem.size, 1, 1, 1))
-        slots = ad.add(ad.mul(slots, ad.sub(1.0, blend)), ad.mul(blend, tmpl))
-    rw = np.zeros(mem.size) if read_weight is None else (
-        read_weight.data if isinstance(read_weight, Tensor) else np.asarray(read_weight))
-    new_access = mem.decay * mem.access + rw + alloc_total
-    return MemoryState(slots=slots, keys=_keys_of(slots), access=new_access,
-                       decay=mem.decay, queue_head=mem.queue_head,
-                       occupied=min(mem.occupied + k, mem.size))
+    targets = np.lexsort((np.arange(mem.size), mem.access))[:k]
+    onehots = np.eye(mem.size, dtype=mem.slots.data.dtype)[targets].reshape(k, mem.size, 1, 1, 1)
+    written = reduce(ad.add, [ad.mul(Tensor(b), t) for b, t in zip(onehots, distractors.templates)])
+    mask = onehots.sum(axis=0)
+    usage = () if read_weight is None else (read_weight.data,)
+    return _write(mem, Tensor(mask), written, *usage, mask.reshape(-1).astype(np.float64))

@@ -57,6 +57,11 @@ class ModelConfig:
     dropout_keep: float = 0.8
     patch_stride: int = 1
 
+    def __post_init__(self):
+        # a queue memory's least-accessed slot is its oldest only for a decay in (0, 1]
+        if not 0.0 < self.mem_decay <= 1.0:
+            raise ValueError(f"mem_decay must be in (0, 1], got {self.mem_decay}")
+
     @property
     def search_ratio(self):
         return self.net.search_size / self.net.object_size

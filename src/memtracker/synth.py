@@ -28,7 +28,6 @@ class SynthConfig:
     size_drift: float = 0.12  # relative breathing amplitude
     distractors: int = 0
     speed: float = 14.0       # motion amplitude in pixels
-    orbit: bool = True        # distractors circle the target instead of roaming freely
 
 
 @dataclass
@@ -122,10 +121,7 @@ def generate(seed, cfg: SynthConfig):
     bg = _background(rng, cfg.canvas)
 
     target_path = _paths(rng, cfg, 1)[0]
-    if cfg.orbit:
-        distractor_paths = _orbit_paths(rng, cfg, target_path, cfg.distractors)
-    else:
-        distractor_paths = _paths(rng, cfg, cfg.distractors)
+    distractor_paths = _orbit_paths(rng, cfg, target_path, cfg.distractors)
     size_phase = rng.uniform(0.0, 2.0 * np.pi)
 
     grid = np.arange(cfg.canvas, dtype=np.float64) + 0.5

@@ -154,8 +154,9 @@ def extract_template(frame, box, params, cfg: ModelConfig):
 def init(frame, box: BoundingBox, params, cfg: ModelConfig, ablation="none"):
     """Build the tracking state for the first frame.
 
-    The initial template seeds the controller state and is force-written
-    into the (otherwise empty) positive memory; negative memory starts blank.
+    The initial template seeds the controller state and replaces slot 0 of
+    the otherwise empty positive memory (`queue_write`, whatever the
+    ablation); negative memory starts blank.
     """
     if ablation not in VARIANTS:
         raise ValueError(f"unknown ablation {ablation!r}; choose from {ABLATIONS}")
@@ -164,7 +165,7 @@ def init(frame, box: BoundingBox, params, cfg: ModelConfig, ablation="none"):
     n, c = cfg.net.template_size, cfg.net.channels
     dtype = t0.data.dtype
     pos = mem.MemoryState.zeros(cfg.n_pos, n, c, cfg.mem_decay, dtype=dtype)
-    pos = mem.queue_write(pos, t0) if VARIANTS[ablation].read == "queue" else mem.forced_allocation_write(pos, t0)
+    pos = mem.queue_write(pos, t0)
     neg = mem.MemoryState.zeros(cfg.n_neg, n, c, cfg.mem_decay, dtype=dtype)
     return TrackState(box=box, h=h0, c=c0, pos_mem=pos, neg_mem=neg, initial_template=t0,
                       ablation=ablation)

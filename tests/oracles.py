@@ -58,3 +58,58 @@ def oracle_max_pool(x, n, stride):
                             best = val
                 out[i, j, c] = best
     return out
+
+
+class OracleQueue:
+    """The queue-style memory as a ring buffer: a head index that advances on
+    every write, wrapping at the last slot, and a count of the slots written
+    so far. The head slot takes the template; access decays and gains 1.0 at
+    the head; the read is the mean of the first `occupied` slots."""
+
+    def __init__(self, n_slots, template_shape, decay, dtype=np.float64):
+        self.slots = np.zeros((n_slots,) + tuple(template_shape), dtype=dtype)
+        self.access = np.zeros(n_slots)
+        self.decay = decay
+        self.head = 0
+        self.occupied = 0
+
+    def write(self, template):
+        n_slots = self.slots.shape[0]
+        self.slots[self.head] = template
+        self.access = self.decay * self.access
+        self.access[self.head] += 1.0
+        self.head = (self.head + 1) % n_slots
+        self.occupied = min(self.occupied + 1, n_slots)
+
+    def keys(self):
+        n_slots, n, _, c = self.slots.shape
+        return self.slots.reshape(n_slots, n * n, c).sum(axis=1) * (1.0 / (n * n))
+
+    def retrieve(self):
+        n_slots = self.slots.shape[0]
+        k = max(self.occupied, 1)
+        w = np.zeros(n_slots, dtype=self.slots.dtype)
+        w[:k] = 1.0 / k
+        return (w @ self.slots.reshape(n_slots, -1)).reshape(self.slots.shape[1:])
+
+
+def oracle_write_negative(slots, access, decay, templates, read_weight=None):
+    """The negative write as one full-memory blend per distractor, in order:
+    the k-th template replaces the k-th least-accessed slot (ties: lowest
+    index). `slots` and `templates` are Tensors, so gradients flow as in the
+    library. Returns (slots, keys, access)."""
+    from memtracker import autodiff as ad
+    from memtracker.autodiff import Tensor
+
+    n_slots, n, _, c = slots.data.shape
+    targets = np.lexsort((np.arange(n_slots), access))[:len(templates)]
+    alloc_total = np.zeros(n_slots)
+    for tmpl, j in zip(templates, targets):
+        onehot = np.zeros(n_slots, dtype=slots.data.dtype)
+        onehot[j] = 1.0
+        alloc_total[j] += 1.0
+        blend = ad.reshape(Tensor(onehot), (n_slots, 1, 1, 1))
+        slots = ad.add(ad.mul(slots, ad.sub(1.0, blend)), ad.mul(blend, tmpl))
+    rw = np.zeros(n_slots) if read_weight is None else read_weight.data
+    keys = ad.tmean(ad.reshape(slots, (n_slots, n * n, c)), axis=1)
+    return slots, keys, decay * access + rw + alloc_total

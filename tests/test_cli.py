@@ -138,5 +138,13 @@ def test_track_with_impossible_conv_layer_is_clean_error(trained, tmp_path, laye
                 "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("decay", [0.0, -0.5, 1.5])
+def test_config_rejects_mem_decay_outside_unit_interval(decay):
+    entries = config_to_dict(desk_config())
+    entries["mem_decay"] = decay
+    with pytest.raises(ValueError, match="mem_decay"):
+        config_from_dict(entries)
+
+
 def test_gradcheck_exit_zero():
     assert run(["gradcheck", "--seed", "7", "--tol", "1e-4"]) == 0

@@ -209,6 +209,28 @@ def test_queue_write_cycles_and_mean_retrieval(rng):
     np.testing.assert_allclose(m.slots.data[0], t_new, atol=1e-12)
 
 
+from oracles import OracleQueue, oracle_write_negative
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_slots, decay", [(8, 0.99), (1, 0.99), (8, 1.0)])
+def test_queue_write_matches_ring_buffer_oracle(n_slots, decay):
+    rng = np.random.default_rng(21)
+    m = fresh(n_slots, decay)
+    ring = OracleQueue(n_slots, (n, n, C), decay)
+    for _ in range(100):
+        t = rng.standard_normal((n, n, C))
+        m = mem.queue_write(m, Tensor(t))
+        ring.write(t)
+        assert _same_bytes(m.slots.data, ring.slots)
+        assert _same_bytes(m.keys.data, ring.keys())
+        assert _same_bytes(m.access, ring.access)
+        assert _same_bytes(mem.queue_retrieve(m).data, ring.retrieve())
+
+
 # --- distractor extraction -----------------------------------------------------
 
 from oracles import distractor_coords, oracle_distractors
@@ -310,3 +332,34 @@ def test_negative_write_too_many_rejected(rng):
     ts = [rand_template(rng) for _ in range(3)]
     with pytest.raises(ValueError):
         mem.write_negative(m, _dset(ts, [(0, 0)] * 3))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("with_read", [False, True])
+@pytest.mark.parametrize("k", [1, 2])
+def test_negative_write_matches_sequential_oracle(k, with_read, dtype):
+    rng = np.random.default_rng(40 + k)
+    base = rng.standard_normal((N, n, n, C)).astype(dtype)
+    access = np.array([0.5, 0.2, 0.5, 0.2])  # ties: slots 1 and 3 go first
+    ts = [rng.standard_normal((n, n, C)).astype(dtype) for _ in range(k)]
+    w_read = Tensor(rng.dirichlet(np.ones(N)).astype(dtype)) if with_read else None
+    g_slots = rng.standard_normal((N, n, n, C)).astype(dtype)
+    g_keys = rng.standard_normal((N, C)).astype(dtype)
+
+    def run(write):
+        slots = Tensor(base.copy(), requires_grad=True)
+        tmpls = [Tensor(t.copy(), requires_grad=True) for t in ts]
+        new_slots, keys, new_access = write(slots, tmpls)
+        ad.backward(ad.add(ad.tsum(ad.mul(new_slots, g_slots)), ad.tsum(ad.mul(keys, g_keys))))
+        return [new_slots.data, keys.data, new_access, slots.grad] + [t.grad for t in tmpls]
+
+    def library(slots, tmpls):
+        m = mem.MemoryState(slots=slots, keys=Tensor(base.mean(axis=(1, 2))), access=access.copy(),
+                            decay=0.99)
+        out = mem.write_negative(m, _dset(tmpls, [(0, 0)] * k), read_weight=w_read)
+        return out.slots, out.keys, out.access
+
+    got = run(library)
+    expect = run(lambda slots, tmpls: oracle_write_negative(slots, access, 0.99, tmpls, w_read))
+    for a, b in zip(got, expect):
+        assert _same_bytes(a, b)

@@ -3,7 +3,7 @@ import pytest
 
 from memtracker import autodiff as ad
 from memtracker import synth, tracker
-from memtracker.model import full_config
+from memtracker.model import ABLATIONS, full_config
 from memtracker.tracker import BoundingBox
 
 
@@ -116,6 +116,17 @@ def test_init_seeds_positive_memory(desk_cfg, desk_params):
     np.testing.assert_allclose(state.pos_mem.slots.data[0], state.initial_template.data)
     assert np.abs(state.pos_mem.slots.data[1:]).max() == 0.0
     assert np.abs(state.neg_mem.slots.data).max() == 0.0
+
+
+def test_init_seeds_same_positive_memory_under_every_ablation(desk_cfg, desk_params):
+    v = _video()
+    ref = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg).pos_mem
+    assert np.array_equal(ref.access, np.eye(desk_cfg.n_pos)[0])
+    for ablation in ABLATIONS:
+        pos = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg, ablation=ablation).pos_mem
+        for a, b in ((pos.slots.data, ref.slots.data), (pos.keys.data, ref.keys.data),
+                     (pos.access, ref.access)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), ablation
 
 
 def test_init_read_dominated_by_seeded_slot(desk_cfg, desk_params, rng):
