@@ -1,0 +1,124 @@
+"""Exactness probe: sha256 digests of what the tracker and trainer compute.
+
+Prints one `name digest` line each for
+  - the desk model's boxes under every ablation over three 30-frame
+    synthetic sequences (no, one and three distractors);
+  - the full model's boxes over a 3-frame, 288 px sequence;
+  - two 10-frame training clips' loss and every parameter gradient;
+  - 12 training steps: the loss history and the final parameters.
+
+Weights are the seeded initial parameters, BLAS runs on one thread, and
+only the public API is used, so the script runs unchanged on any checkout.
+A refactor that keeps the arithmetic prints byte-identical output:
+
+    python experiments/exactness.py > after.txt   # in each checkout
+    diff before.txt after.txt
+
+`--tiny` runs a few frames and steps of each part, as a smoke test.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from memtracker import autodiff as ad  # noqa: E402
+from memtracker import synth, tracker, train  # noqa: E402
+from memtracker.model import ABLATIONS, desk_config, full_config, init_params  # noqa: E402
+
+PARAM_SEED = 3
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype} {a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def box_array(boxes):
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64)
+
+
+def params_digest(params):
+    names = sorted(params)
+    return digest(np.array(names), *(params[k].data for k in names))
+
+
+def desk_tracking(frames):
+    cfg = desk_config()
+    params = init_params(cfg, PARAM_SEED)
+    videos = [synth.generate(1000 + d, synth.SynthConfig(frames=frames, drift=1.0, distractors=d))
+              for d in (0, 1, 3)]
+    for ablation in ABLATIONS:
+        boxes = [box_array(tracker.track_sequence(v.frames, v.boxes[0], params, cfg, ablation=ablation))
+                 for v in videos]
+        yield f"track-desk/{ablation}", digest(*boxes)
+
+
+def full_tracking(frames):
+    cfg = full_config()
+    params = init_params(cfg, PARAM_SEED)
+    video = synth.generate(7, synth.SynthConfig(canvas=288, frames=frames, target_size=54.0,
+                                                speed=42.0, distractors=1))
+    yield "track-full/none", digest(box_array(tracker.track_sequence(video.frames, video.boxes[0],
+                                                                     params, cfg)))
+
+
+def clip_gradients(clip_len):
+    cfg = desk_config()
+    params = init_params(cfg, PARAM_SEED)
+    tc = train.TrainConfig(clip_len=clip_len)
+    for seed, distractors in ((21, 1), (22, 3)):
+        video = synth.generate(seed, synth.SynthConfig(frames=40, drift=1.0, distractors=distractors))
+        idx = train.sample_clip(len(video.frames), clip_len, seed)
+        for p in params.values():
+            p.zero_grad()
+        loss = train.clip_loss(params, cfg, [video.frames[i] for i in idx],
+                               [video.boxes[i] for i in idx], video.class_id, tc,
+                               np.random.default_rng(seed))
+        ad.backward(loss)
+        names = sorted(params)
+        grads = [np.zeros_like(params[k].data) if params[k].grad is None else params[k].grad
+                 for k in names]
+        yield f"clip/{seed}", digest(loss.data, np.array(names), *grads)
+
+
+def training(steps, clip_len):
+    cfg = desk_config()
+    tc = train.TrainConfig(steps=steps, clip_len=clip_len, seed=11)
+    source = synth.SyntheticSource(synth.SynthConfig(frames=40, drift=1.0, distractors=1), 0)
+    params, history = train.train(tc, cfg, source)
+    yield "train/history", digest(np.array(history, dtype=np.float64))
+    yield "train/params", params_digest(params)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tiny", action="store_true", help="a few frames and steps of each part")
+    args = ap.parse_args(argv)
+    if args.tiny:
+        parts = (desk_tracking(4), full_tracking(2), clip_gradients(3), training(2, 3))
+    else:
+        parts = (desk_tracking(30), full_tracking(3), clip_gradients(10), training(12, 10))
+    for part in parts:
+        for name, hexdigest in part:
+            print(f"{name:<24} {hexdigest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import memory as mem
 from .autodiff import Tensor
 from .featnet import glorot
 
@@ -52,8 +53,7 @@ def init_controller(hidden, channels, seed, dtype=np.float32):
 
 def init_state(template, params):
     """(h0, c0) from the spatial mean of the initial template, two tanh maps."""
-    n = template.data.shape[0]
-    pooled = ad.reshape(ad.avg_pool(template, n, 1), (template.data.shape[2],))
+    pooled = mem.memory_key(template)
     h0 = ad.tanh(ad.dense_affine(pooled, params["ctrl/w_h0"], params["ctrl/b_h0"]))
     c0 = ad.tanh(ad.dense_affine(pooled, params["ctrl/w_c0"], params["ctrl/b_c0"]))
     return h0, c0

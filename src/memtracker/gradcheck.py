@@ -170,8 +170,7 @@ def composed_model_check(seeds, h=1e-5, coords_per_tensor=3):
             state.neg_mem.slots = ad.Tensor(neg_slots.copy())
             state.neg_mem.keys = ad.Tensor(neg_slots.mean(axis=(1, 2)))
             cx, cy, side = tracker.search_roi(box, cfg)
-            patch = tracker.crop_resize(frame1, cx, cy, side, cfg.net.search_size)
-            feats = featnet.extract_features(ad.Tensor(patch), params, cfg.net)
+            feats = tracker.crop_features(frame1, cx, cy, side, cfg.net.search_size, params, cfg)
             read = tracker.frame_forward(state, feats, params, cfg)
             logits = train.centered_logits(template.response(feats, read.template))
             probs = featnet.classify_object(state.initial_template, params, cfg.net)

@@ -1,5 +1,6 @@
-"""Per-frame tracking: crop geometry, multi-scale search, and the per-frame
-model (`init`, `frame_forward`, `write_memories`) that training reuses."""
+"""Per-frame tracking: the crop-to-features call and the score-cell geometry,
+multi-scale search, and the per-frame model (`init`, `frame_forward`,
+`write_memories`) that training and the gradient check reuse."""
 
 from __future__ import annotations
 
@@ -123,10 +124,6 @@ def _minmax(arr):
     return (arr - lo) / (hi - lo)
 
 
-def _param_dtype(params):
-    return params["featnet/conv0_w"].data.dtype
-
-
 def _as_frame(frame, dtype):
     """A frame as an (H,W,3) array of `dtype`: a gray (H,W) frame is repeated
     into 3 channels and a uint8 frame is scaled to [0,1] as `ppm.read_ppm`
@@ -145,10 +142,32 @@ def _as_frame(frame, dtype):
     return frame
 
 
+def crop_features(frame, cx, cy, side, size, params, cfg: ModelConfig):
+    """Features of the square crop of `side` px centred on (cx, cy), resized
+    to `size` px. Every crop the tracker, the trainer and the gradient check
+    take comes through here, so all of them see frames as `_as_frame` makes
+    them."""
+    patch = crop_resize(_as_frame(frame, params["featnet/conv0_w"].data.dtype), cx, cy, side, size)
+    return featnet.extract_features(Tensor(patch), params, cfg.net)
+
+
+def cell_offset(cell, side, cfg: ModelConfig):
+    """Pixel offset from the crop centre of score-map row or column `cell`,
+    on a search crop of `side` px; `offset_cell` is its inverse."""
+    center = (cfg.response_size - 1) / 2.0
+    return (cell - center) * cfg.net.feature_stride * (side / cfg.net.search_size)
+
+
+def offset_cell(offset, side, cfg: ModelConfig):
+    """Score-map row or column (fractional) of a pixel offset from the centre
+    of a search crop of `side` px; the inverse of `cell_offset`."""
+    center = (cfg.response_size - 1) / 2.0
+    return center + offset / (cfg.net.feature_stride * (side / cfg.net.search_size))
+
+
 def extract_template(frame, box, params, cfg: ModelConfig):
     cx, cy, side = object_roi(box, cfg.context_factor)
-    patch = crop_resize(_as_frame(frame, _param_dtype(params)), cx, cy, side, cfg.net.object_size)
-    return featnet.extract_features(Tensor(patch), params, cfg.net)
+    return crop_features(frame, cx, cy, side, cfg.net.object_size, params, cfg)
 
 
 def init(frame, box: BoundingBox, params, cfg: ModelConfig, ablation="none"):
@@ -240,23 +259,14 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
     """
     if not isinstance(state, TrackState):
         raise RuntimeError("tracker state not initialized; call init() first")
-    frame = _as_frame(frame, _param_dtype(params))
     box = state.box
     cx, cy, base_side = search_roi(box, cfg)
     scales = cfg.scale_factors
     mid = len(scales) // 2
-    s_in = cfg.net.search_size
-
-    patches = [crop_resize(frame, cx, cy, base_side * s, s_in) for s in scales]
-    feats = [None] * len(scales)
-    feats[mid] = featnet.extract_features(Tensor(patches[mid]), params, cfg.net)
+    sides = [base_side * s for s in scales]
+    feats = [crop_features(frame, cx, cy, side, cfg.net.search_size, params, cfg) for side in sides]
     read = frame_forward(state, feats[mid], params, cfg)
-
-    responses = []
-    for si in range(len(scales)):
-        if feats[si] is None:
-            feats[si] = featnet.extract_features(Tensor(patches[si]), params, cfg.net)
-        responses.append(tmpl.response(feats[si], read.template))
+    responses = [tmpl.response(f, read.template) for f in feats]
 
     window = cosine_window(responses[0].data.shape[0])
     ww = cfg.window_weight
@@ -269,12 +279,8 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
             best = (val, si, p, q)
     _, s_star, p_star, q_star = best
 
-    P = responses[0].data.shape[0]
-    center_cell = (P - 1) / 2.0
-    patch_scale = base_side * scales[s_star] / s_in
-    stride = cfg.net.feature_stride
-    dx = (q_star - center_cell) * stride * patch_scale
-    dy = (p_star - center_cell) * stride * patch_scale
+    dx = cell_offset(q_star, sides[s_star], cfg)
+    dy = cell_offset(p_star, sides[s_star], cfg)
     size_factor = (1.0 - cfg.scale_smooth) + cfg.scale_smooth * scales[s_star]
     new_box = BoundingBox(cx=box.cx + dx, cy=box.cy + dy,
                           w=box.w * size_factor, h=box.h * size_factor)

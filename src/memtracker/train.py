@@ -130,14 +130,10 @@ def sample_clip(video_len, clip_len, seed):
 
 def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig,
               rng, mode="train"):
-    """Summed per-step loss of a teacher-forced unroll over one clip."""
+    """Summed per-step loss of a teacher-forced unroll over one clip. Frames
+    may take any layout `tracker.step` accepts, gray and uint8 included."""
     state = tracker.init(frames[0], boxes[0], params, cfg)
-    dtype = state.initial_template.data.dtype
-
     P = cfg.response_size
-    center_cell = (P - 1) / 2.0
-    stride = cfg.net.feature_stride
-    s_in = cfg.net.search_size
     total = None
     for t in range(1, len(frames)):
         cx, cy, side = tracker.search_roi(boxes[t - 1], cfg)
@@ -145,15 +141,13 @@ def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig
             cx += rng.uniform(-tc.aug_translate, tc.aug_translate)
             cy += rng.uniform(-tc.aug_translate, tc.aug_translate)
             side *= 1.0 + rng.uniform(-tc.aug_stretch, tc.aug_stretch)
-        patch = tracker.crop_resize(np.asarray(frames[t], dtype=dtype), cx, cy, side, s_in)
-        feats = featnet.extract_features(Tensor(patch), params, cfg.net)
+        feats = tracker.crop_features(frames[t], cx, cy, side, cfg.net.search_size, params, cfg)
         read = tracker.frame_forward(state, feats, params, cfg, mode=mode, rng=rng)
         response = tmpl.response(feats, read.template)
         logits = centered_logits(response)
 
-        patch_scale = side / s_in
-        row = center_cell + (boxes[t].cy - cy) / (stride * patch_scale)
-        col = center_cell + (boxes[t].cx - cx) / (stride * patch_scale)
+        row = tracker.offset_cell(boxes[t].cy - cy, side, cfg)
+        col = tracker.offset_cell(boxes[t].cx - cx, side, cfg)
         row, col = min(max(row, 0.0), P - 1.0), min(max(col, 0.0), P - 1.0)
         label = gt_response((row, col), P, tc.radius)
 
@@ -162,8 +156,9 @@ def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig
         step_loss = total_loss(logits, label, probs, class_id, kappa=tc.kappa)
         total = step_loss if total is None else ad.add(total, step_loss)
 
-        state.pos_mem, state.neg_mem = tracker.write_memories(state, read, new_template, response.data, feats, cfg)
-        state.box, state.h, state.c = boxes[t], read.h, read.c
+        if t + 1 < len(frames):  # the last frame's write would reach no loss
+            state.pos_mem, state.neg_mem = tracker.write_memories(state, read, new_template, response.data, feats, cfg)
+            state.box, state.h, state.c = boxes[t], read.h, read.c
     return total
 
 

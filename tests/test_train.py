@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from memtracker import autodiff as ad
 from memtracker import synth, train
+from memtracker import tracker
 from memtracker.autodiff import Tensor
 from memtracker.model import init_params, micro_config
+from memtracker.model import desk_config, full_config
 
 
 # --- label maps ----------------------------------------------------------------
@@ -221,3 +225,78 @@ def test_full_scale_schedule_roundtrips_through_config(tmp_path):
 def test_train_config_unknown_key_rejected():
     with pytest.raises(ValueError, match="warp_factor"):
         train.train_config_from_dict({"lr": "1e-4", "warp_factor": "9"})
+
+
+# --- frames and geometry shared with tracking -----------------------------------
+
+def _eval_clip_loss(params, cfg, frames, boxes, class_id):
+    with ad.no_grad():
+        return train.clip_loss(params, cfg, frames, boxes, class_id, train.TrainConfig(),
+                               rng=np.random.default_rng(0), mode="eval").item()
+
+
+def test_uint8_clip_loss_matches_scaled_frames(desk_cfg, desk_params):
+    v = synth.generate(5, synth.SynthConfig(frames=4, distractors=1))
+    as_u8 = [(np.clip(f, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8) for f in v.frames]
+    as_read = [f.astype(np.float32) / 255.0 for f in as_u8]  # as ppm.read_ppm scales them
+    assert (_eval_clip_loss(desk_params, desk_cfg, as_u8, v.boxes, v.class_id)
+            == _eval_clip_loss(desk_params, desk_cfg, as_read, v.boxes, v.class_id))
+
+
+def test_gray_clip_loss_matches_its_three_channel_repeat(desk_cfg, desk_params):
+    v = synth.generate(6, synth.SynthConfig(frames=4, distractors=1))
+    gray = [f.mean(axis=2) for f in v.frames]
+    rgb = [np.repeat(g[:, :, None], 3, axis=2) for g in gray]
+    assert (_eval_clip_loss(desk_params, desk_cfg, gray, v.boxes, v.class_id)
+            == _eval_clip_loss(desk_params, desk_cfg, rgb, v.boxes, v.class_id))
+
+
+GEOMETRY_CONFIGS = pytest.mark.parametrize("make_cfg", [desk_config, full_config],
+                                           ids=["desk", "full"])
+
+
+@GEOMETRY_CONFIGS
+@settings(max_examples=200, deadline=None, database=None)
+@given(frac=st.floats(0.0, 1.0), side=st.floats(8.0, 2000.0))
+def test_cell_offset_and_offset_cell_are_inverse(make_cfg, frac, side):
+    cfg = make_cfg()
+    cell = frac * (cfg.response_size - 1)
+    assert tracker.offset_cell(tracker.cell_offset(cell, side, cfg), side, cfg) == pytest.approx(cell, abs=1e-9)
+
+
+class _LabelCaptured(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def geometry_params():
+    return {make: init_params(make(), 0) for make in (desk_config, full_config)}
+
+
+@GEOMETRY_CONFIGS
+@settings(max_examples=10, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cx=st.floats(60.0, 140.0), cy=st.floats(60.0, 140.0), w=st.floats(12.0, 40.0),
+       h=st.floats(12.0, 40.0), fx=st.floats(-0.9, 0.9), fy=st.floats(-0.9, 0.9))
+def test_training_label_decodes_to_true_center(geometry_params, make_cfg, cx, cy, w, h, fx, fy):
+    # the label cell clip_loss builds for a true box, decoded the way
+    # tracker.step decodes a peak, lands on that box's centre
+    cfg = make_cfg()
+    prev = tracker.BoundingBox(cx=cx, cy=cy, w=w, h=h)
+    _, _, side = tracker.search_roi(prev, cfg)
+    reach = tracker.cell_offset(cfg.response_size - 1, side, cfg)
+    true = tracker.BoundingBox(cx=cx + fx * reach, cy=cy + fy * reach, w=w, h=h)
+    frame = np.random.default_rng(0).random((200, 200, 3), dtype=np.float32)
+    centers = []
+
+    def capture(center, extent, radius):
+        centers.append(center)
+        raise _LabelCaptured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train, "gt_response", capture)
+        with pytest.raises(_LabelCaptured):
+            _eval_clip_loss(geometry_params[make_cfg], cfg, [frame, frame], [prev, true], 0)
+    row, col = centers[0]
+    assert cy + tracker.cell_offset(row, side, cfg) == pytest.approx(true.cy, abs=1e-9)
+    assert cx + tracker.cell_offset(col, side, cfg) == pytest.approx(true.cx, abs=1e-9)
