@@ -5,7 +5,9 @@ Prints one `name digest` line each for
     synthetic sequences (no, one and three distractors);
   - the full model's boxes over a 3-frame, 288 px sequence;
   - two 10-frame training clips' loss and every parameter gradient;
-  - 12 training steps: the loss history and the final parameters.
+  - 12 training steps: the loss history and the final parameters;
+  - the worst-error report of the float64 gradient-check suite, every
+    primitive and the composed model, over five seeds.
 
 Weights are the seeded initial parameters, BLAS runs on one thread, and
 only the public API is used, so the script runs unchanged on any checkout.
@@ -34,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from memtracker import autodiff as ad  # noqa: E402
-from memtracker import synth, tracker, train  # noqa: E402
+from memtracker import gradcheck, synth, tracker, train  # noqa: E402
 from memtracker.model import ABLATIONS, desk_config, full_config, init_params  # noqa: E402
 
 PARAM_SEED = 3
@@ -106,14 +108,22 @@ def training(steps, clip_len):
     yield "train/params", params_digest(params)
 
 
+def gradient_checks(seeds):
+    _, report = gradcheck.run_suite(seeds=seeds, model_check=gradcheck.composed_model_check)
+    names = sorted(report)
+    yield "gradcheck", digest(np.array(names), np.array([report[k] for k in names], dtype=np.float64))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tiny", action="store_true", help="a few frames and steps of each part")
     args = ap.parse_args(argv)
     if args.tiny:
-        parts = (desk_tracking(4), full_tracking(2), clip_gradients(3), training(2, 3))
+        parts = (desk_tracking(4), full_tracking(2), clip_gradients(3), training(2, 3),
+                 gradient_checks(range(1)))
     else:
-        parts = (desk_tracking(30), full_tracking(3), clip_gradients(10), training(12, 10))
+        parts = (desk_tracking(30), full_tracking(3), clip_gradients(10), training(12, 10),
+                 gradient_checks(range(5)))
     for part in parts:
         for name, hexdigest in part:
             print(f"{name:<24} {hexdigest}", flush=True)

@@ -1,8 +1,9 @@
 """Dense-tensor numeric core with reverse-mode differentiation.
 
-Every operation records itself on the implicit computation graph (parent
-links plus a backward closure); ``backward(loss)`` replays the recorded
-operations in reverse topological order, visiting each node exactly once.
+Every operation states its output and one vector-Jacobian product (VJP) per
+input: the map from the output's gradient to that input's. The graph keeps
+the inputs that require grad with their VJPs; ``backward(loss)`` replays it
+in reverse topological order, visiting each node exactly once.
 float32 is the training/inference dtype, float64 the gradient-check dtype.
 """
 
@@ -83,12 +84,25 @@ def _as_pair(a, b):
     return _as_tensor(a), _as_tensor(b)
 
 
-def _make(data, parents, backward_fn):
+def _make(data, *inputs):
+    """Record `data` as the output of an op on `inputs`, (parent, vjp) pairs.
+
+    Only the parents that require grad are recorded, in input order; the
+    backward pass hands each of them `vjp(g)`, g being the output's gradient.
+    """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    live = [pair for pair in inputs if pair[0].requires_grad] if _grad_enabled else None
+    if live:
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+        out._parents, vjps = zip(*live)
+
+        # bound as defaults, not closed over, to spare two cells per node:
+        # every object a graph keeps alive is walked by each full collection
+        def backward(g, parents=out._parents, vjps=vjps):
+            for p, vjp in zip(parents, vjps):
+                p._accumulate(vjp(g))
+
+        out._backward = backward
     return out
 
 
@@ -107,23 +121,13 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _as_pair(a, b)
-    out_data = a.data + b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), bw)
+    return _make(a.data + b.data,
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def neg(a):
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _make(-a.data, (a,), bw)
+    return _make(-a.data, (a, lambda g: -g))
 
 
 def sub(a, b):
@@ -133,55 +137,39 @@ def sub(a, b):
 
 def mul(a, b):
     a, b = _as_pair(a, b)
-    out_data = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), bw)
+    return _make(a.data * b.data,
+                 (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b):
     a, b = _as_pair(a, b)
-    out_data = a.data / b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), bw)
+    return _make(a.data / b.data,
+                 (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def matmul(a, b):
-    """2-D x 2-D, 2-D x 1-D or 1-D x 2-D product."""
+    """Product of 1-D and 2-D operands in any combination."""
     a, b = _as_pair(a, b)
     if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
         raise ValueError(f"matmul supports 1-D/2-D operands, got {a.data.ndim}-D @ {b.data.ndim}-D")
-    out_data = a.data @ b.data
 
-    def bw(g):
-        ad, bd = a.data, b.data
-        if a.requires_grad:
-            if bd.ndim == 2:
-                a._accumulate(g @ bd.T)
-            elif ad.ndim == 2:  # 2-D @ 1-D
-                a._accumulate(np.outer(g, bd))
-            else:  # 1-D @ 1-D
-                a._accumulate(g * bd)
-        if b.requires_grad:
-            if ad.ndim == 2:
-                b._accumulate(ad.T @ g)
-            elif bd.ndim == 2:  # 1-D @ 2-D
-                b._accumulate(np.outer(ad, g))
-            else:
-                b._accumulate(g * ad)
+    def a_vjp(g):
+        if b.data.ndim == 2:
+            return g @ b.data.T
+        if a.data.ndim == 2:  # 2-D @ 1-D
+            return np.outer(g, b.data)
+        return g * b.data  # 1-D @ 1-D
 
-    return _make(out_data, (a, b), bw)
+    def b_vjp(g):
+        if a.data.ndim == 2:
+            return a.data.T @ g
+        if b.data.ndim == 2:  # 1-D @ 2-D
+            return np.outer(a.data, g)
+        return g * a.data
+
+    return _make(a.data @ b.data, (a, a_vjp), (b, b_vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -189,40 +177,21 @@ def matmul(a, b):
 
 def texp(a):
     out_data = np.exp(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (a, lambda g: g * out_data))
 
 
 def tlog(a):
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _make(np.log(a.data), (a,), bw)
+    return _make(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def tsqrt(a):
     out_data = np.sqrt(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / out_data)
-
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (a, lambda g: g * 0.5 / out_data))
 
 
 def tanh(a):
     out_data = np.tanh(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (a, lambda g: g * (1.0 - out_data * out_data)))
 
 
 def _sigmoid_raw(x):
@@ -237,51 +206,29 @@ def _sigmoid_raw(x):
 
 def sigmoid(a):
     out_data = _sigmoid_raw(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (a, lambda g: g * out_data * (1.0 - out_data)))
 
 
 def relu(a):
-    out_data = np.maximum(a.data, 0.0)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
-
-    return _make(out_data, (a,), bw)
+    return _make(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
 
 
 def softplus(a):
     """log(1 + exp(x)), computed stably."""
-    out_data = np.logaddexp(0.0, a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * _sigmoid_raw(a.data))
-
-    return _make(out_data, (a,), bw)
+    return _make(np.logaddexp(0.0, a.data), (a, lambda g: g * _sigmoid_raw(a.data)))
 
 
 # ---------------------------------------------------------------------------
 # reductions / shape ops
 
 def tsum(a, axis=None, keepdims=False):
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if not a.requires_grad:
-            return
+    def vjp(g):
         if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy() if np.ndim(g) else np.full_like(a.data, g))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+            return np.broadcast_to(g, a.data.shape).copy() if np.ndim(g) else np.full_like(a.data, g)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg, a.data.shape).copy()
 
-    return _make(out_data, (a,), bw)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, vjp))
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -296,40 +243,29 @@ def tmean(a, axis=None, keepdims=False):
 
 def reshape(a, shape):
     old_shape = a.data.shape
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(old_shape))
-
-    return _make(a.data.reshape(shape), (a,), bw)
+    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(old_shape)))
 
 
 def transpose(a):
     """2-D matrix transpose."""
     if a.data.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
-
-    return _make(a.data.T.copy(), (a,), bw)
+    return _make(a.data.T.copy(), (a, lambda g: g.T))
 
 
 def getitem(a, idx):
     parts = idx if isinstance(idx, tuple) else (idx,)
     basic = all(isinstance(p, (int, np.integer, slice)) or p is Ellipsis for p in parts)
 
-    def bw(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            if basic:  # no duplicate writes possible
-                full[idx] += g
-            else:
-                np.add.at(full, idx, g)
-            a._accumulate(full)
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        if basic:  # no duplicate writes possible
+            full[idx] += g
+        else:
+            np.add.at(full, idx, g)
+        return full
 
-    return _make(a.data[idx].copy(), (a,), bw)
+    return _make(a.data[idx].copy(), (a, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +299,20 @@ def cosine_rows(keys, k, eps=1e-12):
     dots = K @ kv
     out_data = np.where(live, dots / denom, 0.0).astype(K.dtype)
 
-    def bw(g):
+    def keys_vjp(g):
+        # d cos_j / d K_j = k/(r_j kn) - dot_j K_j / (r_j^3 kn)
         gl = g * live
-        if keys.requires_grad:
-            # d cos_j / d K_j = k/(r_j kn) - dot_j K_j / (r_j^3 kn)
-            coef1 = (gl / denom)[:, None]
-            coef2 = (gl * dots / (np.where(live, rnorm, 1.0) ** 2 * denom))[:, None]
-            keys._accumulate(coef1 * kv[None, :] - coef2 * K)
-        if k.requires_grad:
-            coef1 = gl / denom
-            coef2 = gl * dots / (denom * max(knorm, eps) ** 2)
-            k._accumulate(coef1 @ K - coef2.sum() * kv)
+        coef1 = (gl / denom)[:, None]
+        coef2 = (gl * dots / (np.where(live, rnorm, 1.0) ** 2 * denom))[:, None]
+        return coef1 * kv[None, :] - coef2 * K
 
-    return _make(out_data, (keys, k), bw)
+    def k_vjp(g):
+        gl = g * live
+        coef1 = gl / denom
+        coef2 = gl * dots / (denom * max(knorm, eps) ** 2)
+        return coef1 @ K - coef2.sum() * kv
+
+    return _make(out_data, (keys, keys_vjp), (k, k_vjp))
 
 
 def cosine_similarity(x, y):
@@ -448,15 +385,12 @@ def conv2d(x, kernels, stride=1):
     col = windows.reshape(oh * ow, kh * kw * cin)
     out_data = (col @ kernels.data.reshape(kh * kw * cin, cout)).reshape(oh, ow, cout)
 
-    def bw(g):
-        gflat = g.reshape(oh * ow, cout)
-        if kernels.requires_grad:
-            kernels._accumulate((col.T @ gflat).reshape(kernels.data.shape))
-        if x.requires_grad:
-            cols = np.matmul(gflat, kernels.data.reshape(kh * kw, cin, cout).transpose(0, 2, 1))
-            x._accumulate(_col2im(cols.reshape(kh, kw, oh, ow, cin), x.data.shape, stride))
+    def x_vjp(g):
+        cols = np.matmul(g.reshape(oh * ow, cout), kernels.data.reshape(kh * kw, cin, cout).transpose(0, 2, 1))
+        return _col2im(cols.reshape(kh, kw, oh, ow, cin), x.data.shape, stride)
 
-    return _make(out_data, (x, kernels), bw)
+    return _make(out_data, (x, x_vjp),
+                 (kernels, lambda g: (col.T @ g.reshape(oh * ow, cout)).reshape(kernels.data.shape)))
 
 
 def cross_correlate(search, template):
@@ -473,27 +407,18 @@ def cross_correlate(search, template):
     col = windows.reshape(oh * ow, n * n2 * c)
     out_data = (col @ template.data.reshape(-1)).reshape(oh, ow)
 
-    def bw(g):
-        if template.requires_grad:
-            template._accumulate((col.T @ g.reshape(-1)).reshape(template.data.shape))
-        if search.requires_grad:
-            cols = template.data[:, :, None, None, :] * g[:, :, None]
-            search._accumulate(_col2im(cols, search.data.shape, 1))
-
-    return _make(out_data, (search, template), bw)
+    return _make(out_data,
+                 (search, lambda g: _col2im(template.data[:, :, None, None, :] * g[:, :, None],
+                                            search.data.shape, 1)),
+                 (template, lambda g: (col.T @ g.reshape(-1)).reshape(template.data.shape)))
 
 
 def avg_pool(x, n, stride):
     """Mean over each n-by-n window per channel; valid placement only."""
     x = _as_tensor(x)
-    out_data = _windows(x.data, n, n, stride, "avg_pool").mean(axis=(2, 3))
-
-    def bw(g):
-        if x.requires_grad:
-            cols = np.broadcast_to(g / (n * n), (n, n) + g.shape)
-            x._accumulate(_col2im(cols, x.data.shape, stride))
-
-    return _make(out_data, (x,), bw)
+    return _make(_windows(x.data, n, n, stride, "avg_pool").mean(axis=(2, 3)),
+                 (x, lambda g: _col2im(np.broadcast_to(g / (n * n), (n, n) + g.shape),
+                                       x.data.shape, stride)))
 
 
 def max_pool(x, n, stride):
@@ -511,15 +436,14 @@ def max_pool(x, n, stride):
     for k in range(1, n * n):
         np.maximum(windows[:, :, k // n, k % n], out_data, out=out_data)
 
-    def bw(g):
-        if x.requires_grad:
-            oh, ow, _, _, c = windows.shape
-            first = windows.reshape(oh, ow, n * n, c).argmax(axis=2)
-            hot = np.arange(n * n)[:, None, None, None] == first
-            cols = np.where(hot, g, 0.0).reshape(n, n, oh, ow, c)
-            x._accumulate(_col2im(cols, x.data.shape, stride))
+    def vjp(g):
+        oh, ow, _, _, c = windows.shape
+        first = windows.reshape(oh, ow, n * n, c).argmax(axis=2)
+        hot = np.arange(n * n)[:, None, None, None] == first
+        cols = np.where(hot, g, 0.0).reshape(n, n, oh, ow, c)
+        return _col2im(cols, x.data.shape, stride)
 
-    return _make(out_data, (x,), bw)
+    return _make(out_data, (x, vjp))
 
 
 # ---------------------------------------------------------------------------

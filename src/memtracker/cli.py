@@ -75,6 +75,8 @@ def cmd_train(args):
 
     t0 = time.time()
     params, history = train.train(tc, cfg, source, on_step=report)
+    if not history:
+        raise ValueError("no training step ran: the data source holds no sequences")
     ckpt.save_checkpoint(args.out, params)
     ckpt.save_config(args.out + ".cfg", config_to_dict(cfg))
     print(f"trained {len(history)} steps in {time.time() - t0:.1f}s; "

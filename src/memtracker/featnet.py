@@ -72,9 +72,17 @@ class FeatureNetConfig:
 
 
 def glorot(rng, shape, fan_in, fan_out, dtype):
-    """Trainable Glorot-uniform tensor: U(-l, l), l = sqrt(6 / (fan_in + fan_out))."""
+    """Trainable Glorot-uniform tensor: U(-l, l), l = sqrt(6 / (fan_in + fan_out)).
+
+    Drawn one row at a time, the same numbers as one draw of the whole shape,
+    so that no float64 copy of a large matrix is made: the full model's
+    1024x9216 classifier weights drew 72 MB in float64 before their 36 MB.
+    """
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape).astype(dtype), requires_grad=True)
+    w = np.empty(shape, dtype)
+    for row in w.reshape(shape[0], -1):
+        row[...] = rng.uniform(-limit, limit, size=row.shape)
+    return Tensor(w, requires_grad=True)
 
 
 def init_feature_net(cfg: FeatureNetConfig, seed, dtype=np.float32):

@@ -4,6 +4,7 @@ multi-scale search, and the per-frame model (`init`, `frame_forward`,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +28,8 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.w, self.h)):
+            raise ValueError(f"box fields must be finite, got {self}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box sides must be positive, got {self.w}x{self.h}")
 

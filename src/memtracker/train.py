@@ -22,6 +22,11 @@ from .autodiff import Tensor
 from .model import ModelConfig, fields_from_dict
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+AUG_TRANSLATE = 4.0   # search-crop centre jitter in pixels, each axis
+AUG_STRETCH = 0.05    # search-crop side jitter, relative
+
+
 @dataclass
 class LabelMap:
     labels: np.ndarray   # (P,P) in {0,1}
@@ -37,13 +42,13 @@ class TrainConfig:
     lr_decay: float = 0.8
     lr_interval: int = 10000
     kappa: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     radius: float = 2.0       # positive-label radius in score cells
-    aug_translate: float = 4.0
-    aug_stretch: float = 0.05
+
+    def __post_init__(self):
+        for name, low in (("steps", 1), ("batch_clips", 1), ("clip_len", 2), ("lr_interval", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
 
 def train_config_to_dict(tc: TrainConfig):
@@ -138,9 +143,9 @@ def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig
     for t in range(1, len(frames)):
         cx, cy, side = tracker.search_roi(boxes[t - 1], cfg)
         if mode == "train":
-            cx += rng.uniform(-tc.aug_translate, tc.aug_translate)
-            cy += rng.uniform(-tc.aug_translate, tc.aug_translate)
-            side *= 1.0 + rng.uniform(-tc.aug_stretch, tc.aug_stretch)
+            cx += rng.uniform(-AUG_TRANSLATE, AUG_TRANSLATE)
+            cy += rng.uniform(-AUG_TRANSLATE, AUG_TRANSLATE)
+            side *= 1.0 + rng.uniform(-AUG_STRETCH, AUG_STRETCH)
         feats = tracker.crop_features(frames[t], cx, cy, side, cfg.net.search_size, params, cfg)
         read = tracker.frame_forward(state, feats, params, cfg, mode=mode, rng=rng)
         response = tmpl.response(feats, read.template)
@@ -163,16 +168,15 @@ def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig
 
 
 class Adam:
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
 
     def step(self, lr):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, p in self.params.items():
             if p.grad is None:
                 continue
@@ -181,7 +185,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -199,7 +203,7 @@ def train(tc: TrainConfig, cfg: ModelConfig, source, params=None, on_step=None):
 
     if params is None:
         params = init_params(cfg, tc.seed)
-    adam = Adam(params, tc.beta1, tc.beta2, tc.eps)
+    adam = Adam(params)
     rng = np.random.default_rng(tc.seed + 1)
     source_iter = iter(source)
     history = []

@@ -355,6 +355,39 @@ def test_backward_constants_get_no_gradient(rng):
     np.testing.assert_allclose(x.grad, const.data)
 
 
+# operand shapes of every two-input op; broadcasting operands exercise _unbroadcast
+TWO_INPUT_OPS = {
+    "add": (ad.add, (3, 4), (4,)),
+    "mul": (ad.mul, (3, 4), (1, 4)),
+    "div": (ad.div, (3, 4), (4,)),
+    "matmul": (ad.matmul, (3, 4), (4, 5)),
+    "conv2d": (ad.conv2d, (6, 6, 2), (3, 3, 2, 3)),
+    "cross_correlate": (ad.cross_correlate, (7, 7, 2), (3, 3, 2)),
+    "cosine_rows": (ad.cosine_rows, (5, 4), (4,)),
+}
+
+
+@pytest.mark.parametrize("const_pos", [0, 1])
+@pytest.mark.parametrize("name", list(TWO_INPUT_OPS))
+def test_constant_operand_gets_no_gradient(rng, name, const_pos):
+    op, *shapes = TWO_INPUT_OPS[name]
+    inputs = [t64(rng.uniform(0.5, 1.5, shape)) for shape in shapes]
+    var = inputs[1 - const_pos]
+    var.requires_grad = True
+    w = rng.standard_normal(op(*inputs).data.shape)
+    err = gradcheck.check_gradients(lambda: ad.tsum(ad.mul(op(*inputs), w)), [var])
+    assert inputs[const_pos].grad is None
+    assert var.grad is not None and err < 1e-6
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [((4,), (4, 3)), ((3, 4), (4,)), ((4,), (4,))])
+def test_matmul_vector_operand_gradients(rng, shape_a, shape_b):
+    a = t64(rng.standard_normal(shape_a), requires_grad=True)
+    b = t64(rng.standard_normal(shape_b), requires_grad=True)
+    w = rng.standard_normal(np.shape(a.data @ b.data))
+    assert gradcheck.check_gradients(lambda: ad.tsum(ad.mul(ad.matmul(a, b), w)), [a, b]) < 1e-6
+
+
 def test_backward_rejects_nonscalar(rng):
     x = Tensor(rng.standard_normal(3), requires_grad=True)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -108,6 +109,38 @@ def test_eval_json_deterministic(trained, tmp_path):
     run(["eval", "--results", str(results), "--seq", str(seq), "--json", str(j1)])
     run(["eval", "--results", str(results), "--seq", str(seq), "--json", str(j2)])
     assert j1.read_bytes() == j2.read_bytes()
+
+
+@pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--batch", "0"), ("--clip-len", "1"),
+                                        ("--lr-interval", "0")])
+def test_train_impossible_schedule_is_clean_error(tmp_path, flag, value):
+    out = tmp_path / "model.ckpt"
+    assert run(["train", "--out", str(out), "--steps", "1", "--clip-len", "2", "--frames", "4",
+                "--canvas", "48", "--size", "12", "--log-every", "0", flag, value]) == 2
+    assert not out.exists()
+
+
+def test_train_on_data_without_sequences_is_clean_error(tmp_path):
+    data = tmp_path / "empty"
+    data.mkdir()
+    out = tmp_path / "model.ckpt"
+    assert run(["train", "--out", str(out), "--data", str(data), "--steps", "1",
+                "--log-every", "0"]) == 2
+    assert not out.exists()
+
+
+def test_non_finite_box_is_clean_error(trained, tmp_path):
+    ckpt, seq = trained
+    bad_seq = tmp_path / "seq"
+    shutil.copytree(seq, bad_seq)
+    gt = bad_seq / "groundtruth_rect.txt"
+    lines = gt.read_text().splitlines()
+    gt.write_text("\n".join(["nan,1,2,2"] + lines[1:]) + "\n")
+    assert run(["track", "--ckpt", str(ckpt), "--seq", str(bad_seq),
+                "--out", str(tmp_path / "r.txt")]) == 2
+    results = tmp_path / "inf.txt"
+    results.write_text("\n".join(["1,1,inf,2"] + lines[1:]) + "\n")
+    assert run(["eval", "--results", str(results), "--seq", str(seq)]) == 2
 
 
 def test_missing_checkpoint_is_clean_error(tmp_path):

@@ -55,6 +55,19 @@ def test_init_deterministic(desk_cfg):
     assert any(not np.array_equal(a[k].data, c[k].data) for k in a)
 
 
+@pytest.mark.parametrize("shape", [(7,), (4, 9), (3, 3, 5, 2)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_glorot_rows_draw_the_whole_shape(shape, dtype):
+    # row-wise drawing must give the bits of one draw cast as a whole, and
+    # leave the generator where that draw would
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    w = featnet.glorot(a, shape, 6, 8, dtype)
+    expected = b.uniform(-np.sqrt(6.0 / 14), np.sqrt(6.0 / 14), size=shape).astype(dtype)
+    assert w.data.dtype == dtype and w.requires_grad
+    assert w.data.tobytes() == expected.tobytes()
+    assert a.random() == b.random()
+
+
 def test_param_count_closed_form(desk_cfg):
     # conv1 5*5*3*32+32, conv2 3*3*32*32+32, conv3 3*3*32*32+32
     expected = (5 * 5 * 3 * 32 + 32) + (3 * 3 * 32 * 32 + 32) + (3 * 3 * 32 * 32 + 32)

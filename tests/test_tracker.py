@@ -48,6 +48,13 @@ def test_box_validation():
         BoundingBox(5, 5, 0.0, 4.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["cx", "cy", "w", "h"])
+def test_box_rejects_non_finite_field(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        BoundingBox(**{**dict(cx=5.0, cy=5.0, w=2.0, h=2.0), name: value})
+
+
 def test_box_topleft_roundtrip():
     box = BoundingBox.from_topleft(10.0, 20.0, 30.0, 40.0)
     assert (box.cx, box.cy) == (25.0, 40.0)
