@@ -1,6 +1,10 @@
 """Exactness probe: sha256 digests of what the tracker and trainer compute.
 
 Prints one `name digest` line each for
+  - `tracker.crop_resize` over fixed cases: desk 96 px frames cropped to the
+    80 px search crop at every scale and the 40 px template crop, the same
+    for 288 px frames at 255 and 127 px, a centre off the frame and a
+    float64 frame;
   - the desk model's boxes under every ablation over three 30-frame
     synthetic sequences (no, one and three distractors);
   - the full model's boxes over a 3-frame, 288 px sequence;
@@ -58,6 +62,23 @@ def box_array(boxes):
 def params_digest(params):
     names = sorted(params)
     return digest(np.array(names), *(params[k].data for k in names))
+
+
+def crops():
+    desk = synth.generate(1000, synth.SynthConfig(frames=3, drift=1.0))
+    full = synth.generate(7, synth.SynthConfig(canvas=288, frames=2, target_size=54.0, speed=42.0,
+                                               distractors=1))
+    out = []
+    for cfg, video in ((desk_config(), desk), (full_config(), full)):
+        for frame, box in zip(video.frames, video.boxes):
+            cx, cy, side = tracker.search_roi(box, cfg)
+            out += [tracker.crop_resize(frame, cx, cy, side * s, cfg.net.search_size)
+                    for s in cfg.scale_factors]
+            cx, cy, side = tracker.object_roi(box, cfg.context_factor)
+            out.append(tracker.crop_resize(frame, cx, cy, side, cfg.net.object_size))
+    out.append(tracker.crop_resize(full.frames[0], -40.3, 301.7, 90.0, 80))
+    out.append(tracker.crop_resize(full.frames[0].astype(np.float64), 150.2, 131.9, 170.3, 127))
+    yield "crop", digest(*out)
 
 
 def desk_tracking(frames):
@@ -119,10 +140,10 @@ def main(argv=None):
     ap.add_argument("--tiny", action="store_true", help="a few frames and steps of each part")
     args = ap.parse_args(argv)
     if args.tiny:
-        parts = (desk_tracking(4), full_tracking(2), clip_gradients(3), training(2, 3),
+        parts = (crops(), desk_tracking(4), full_tracking(2), clip_gradients(3), training(2, 3),
                  gradient_checks(range(1)))
     else:
-        parts = (desk_tracking(30), full_tracking(3), clip_gradients(10), training(12, 10),
+        parts = (crops(), desk_tracking(30), full_tracking(3), clip_gradients(10), training(12, 10),
                  gradient_checks(range(5)))
     for part in parts:
         for name, hexdigest in part:

@@ -89,30 +89,19 @@ def crop_resize(frame, cx, cy, side, out_size):
     if side <= 0 or out_size <= 0:
         raise ValueError(f"degenerate crop: side={side}, out={out_size}")
     frame = np.asarray(frame)
-    H, W = frame.shape[:2]
-    fill = frame.reshape(-1, frame.shape[2]).mean(axis=0)
-    step = side / out_size
-    xs = (cx - side / 2.0) + (np.arange(out_size) + 0.5) * step - 0.5
-    ys = (cy - side / 2.0) + (np.arange(out_size) + 0.5) * step - 0.5
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    fx = (xs - x0).astype(frame.dtype)
-    fy = (ys - y0).astype(frame.dtype)
-
-    def sample(yi, xi):
-        valid = ((yi >= 0) & (yi < H))[:, None] & ((xi >= 0) & (xi < W))[None, :]
-        vals = frame[np.clip(yi, 0, H - 1)[:, None], np.clip(xi, 0, W - 1)[None, :], :]
-        return np.where(valid[..., None], vals, fill)
-
-    wy = fy[:, None, None]
-    wx = fx[None, :, None]
-    tl = sample(y0, x0)
-    tr = sample(y0, x0 + 1)
-    bl = sample(y0 + 1, x0)
-    br = sample(y0 + 1, x0 + 1)
-    top = tl * (1 - wx) + tr * wx
-    bot = bl * (1 - wx) + br * wx
-    return (top * (1 - wy) + bot * wy).astype(frame.dtype)
+    H, W, C = frame.shape
+    # a one-pixel border of the mean colour: a tap clipped into it reads the fill
+    padded = np.full((H + 2, W + 2, C), frame.reshape(-1, C).mean(axis=0))
+    padded[1:-1, 1:-1] = frame
+    # sample positions along y (row 0) and x (row 1), their two taps into the
+    # padded frame and the second tap's weight
+    s = (np.array([[cy - side / 2.0], [cx - side / 2.0]])
+         + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5)
+    i = np.floor(s).astype(np.int64)
+    (y0, x0), (y1, x1) = np.clip([i + 1, i + 2], 0, [[H + 1], [W + 1]])
+    wy, wx = (s - i).astype(frame.dtype)
+    rows = padded[:, x0] * (1 - wx[:, None]) + padded[:, x1] * wx[:, None]
+    return (rows[y0] * (1 - wy[:, None, None]) + rows[y1] * wy[:, None, None]).astype(frame.dtype)
 
 
 def cosine_window(size):
@@ -120,11 +109,21 @@ def cosine_window(size):
     return np.outer(w, w)
 
 
-def _minmax(arr):
-    lo, hi = arr.min(), arr.max()
-    if hi - lo < 1e-12:
-        return np.zeros_like(arr)
-    return (arr - lo) / (hi - lo)
+def choose_peak(maps, window_weight):
+    """(scale, row, col) of the best cell of the stacked (scales, P, P)
+    responses, each min-max normalised and blended with a cosine window, or
+    None when every map is flat or any is non-finite. Ties go to the lowest
+    scale, then to the first cell in row-major order."""
+    lo = maps.min(axis=(1, 2), keepdims=True)
+    span = maps.max(axis=(1, 2), keepdims=True) - lo
+    flat = span < 1e-12
+    if flat.all() or not np.isfinite(span).all():
+        return None
+    # a flat map divides by inf and normalises to zeros
+    damped = ((1.0 - window_weight) * ((maps - lo) / np.where(flat, np.inf, span))
+              + window_weight * cosine_window(maps.shape[-1]))
+    s, p, q = np.unravel_index(int(np.argmax(damped)), damped.shape)
+    return int(s), p, q
 
 
 def _as_frame(frame, dtype):
@@ -178,11 +177,16 @@ def init(frame, box: BoundingBox, params, cfg: ModelConfig, ablation="none"):
 
     The initial template seeds the controller state and replaces slot 0 of
     the otherwise empty positive memory (`queue_write`, whatever the
-    ablation); negative memory starts blank.
+    ablation); negative memory starts blank. A box that does not overlap
+    the frame raises ValueError.
     """
     if ablation not in VARIANTS:
         raise ValueError(f"unknown ablation {ablation!r}; choose from {ABLATIONS}")
     t0 = extract_template(frame, box, params, cfg)
+    H, W = np.shape(frame)[:2]
+    x, y, w, h = box.to_topleft()
+    if x >= W or y >= H or x + w <= 0 or y + h <= 0:
+        raise ValueError(f"initial box {box} does not overlap the {W}x{H} frame")
     h0, c0 = ctrl.init_state(t0, params)
     n, c = cfg.net.template_size, cfg.net.channels
     dtype = t0.data.dtype
@@ -257,8 +261,9 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
     """Track one frame: multi-scale search, box update, memory writes.
 
     The controller runs once on the middle-scale crop and its template is
-    shared across scales. Each scale's response is min-max normalized and
-    blended with a cosine window before the cross-scale argmax.
+    shared across scales; `choose_peak` picks the scale and the cell. When
+    it finds no peak (every response flat, as on a blank frame, or one
+    non-finite) the state and the box come back unchanged.
     """
     if not isinstance(state, TrackState):
         raise RuntimeError("tracker state not initialized; call init() first")
@@ -271,16 +276,10 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
     read = frame_forward(state, feats[mid], params, cfg)
     responses = [tmpl.response(f, read.template) for f in feats]
 
-    window = cosine_window(responses[0].data.shape[0])
-    ww = cfg.window_weight
-    best = (-np.inf, mid, 0, 0)
-    for si in range(len(scales)):
-        damped = (1.0 - ww) * _minmax(responses[si].data) + ww * window
-        p, q = np.unravel_index(int(np.argmax(damped)), damped.shape)
-        val = damped[p, q]
-        if val > best[0]:
-            best = (val, si, p, q)
-    _, s_star, p_star, q_star = best
+    peak = choose_peak(np.stack([r.data for r in responses]), cfg.window_weight)
+    if peak is None:
+        return state, box
+    s_star, p_star, q_star = peak
 
     dx = cell_offset(q_star, sides[s_star], cfg)
     dy = cell_offset(p_star, sides[s_star], cfg)

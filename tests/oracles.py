@@ -113,3 +113,60 @@ def oracle_write_negative(slots, access, decay, templates, read_weight=None):
     rw = np.zeros(n_slots) if read_weight is None else read_weight.data
     keys = ad.tmean(ad.reshape(slots, (n_slots, n * n, c)), axis=1)
     return slots, keys, decay * access + rw + alloc_total
+
+
+def oracle_crop_resize(frame, cx, cy, side, out_size):
+    """The bilinear crop as four corner gathers, each with its own in-frame
+    mask and mean-colour fill; the library crop must match it bit for bit."""
+    if side <= 0 or out_size <= 0:
+        raise ValueError(f"degenerate crop: side={side}, out={out_size}")
+    frame = np.asarray(frame)
+    H, W = frame.shape[:2]
+    fill = frame.reshape(-1, frame.shape[2]).mean(axis=0)
+    step = side / out_size
+    xs = (cx - side / 2.0) + (np.arange(out_size) + 0.5) * step - 0.5
+    ys = (cy - side / 2.0) + (np.arange(out_size) + 0.5) * step - 0.5
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    fx = (xs - x0).astype(frame.dtype)
+    fy = (ys - y0).astype(frame.dtype)
+
+    def sample(yi, xi):
+        valid = ((yi >= 0) & (yi < H))[:, None] & ((xi >= 0) & (xi < W))[None, :]
+        vals = frame[np.clip(yi, 0, H - 1)[:, None], np.clip(xi, 0, W - 1)[None, :], :]
+        return np.where(valid[..., None], vals, fill)
+
+    wy = fy[:, None, None]
+    wx = fx[None, :, None]
+    tl = sample(y0, x0)
+    tr = sample(y0, x0 + 1)
+    bl = sample(y0 + 1, x0)
+    br = sample(y0 + 1, x0 + 1)
+    top = tl * (1 - wx) + tr * wx
+    bot = bl * (1 - wx) + br * wx
+    return (top * (1 - wy) + bot * wy).astype(frame.dtype)
+
+
+def _minmax(arr):
+    lo, hi = arr.min(), arr.max()
+    if hi - lo < 1e-12:
+        return np.zeros_like(arr)
+    return (arr - lo) / (hi - lo)
+
+
+def oracle_choose_peak(maps, window_weight):
+    """The scale choice as a loop over scales: each map min-max normalised
+    and blended with a cosine window, a later scale taking over only when its
+    peak is strictly higher. Returns (scale, row, col); on all-flat maps that
+    is scale 0, where the library reports no peak."""
+    window = np.outer(np.hanning(maps.shape[1]), np.hanning(maps.shape[1]))
+    ww = window_weight
+    best = (-np.inf, len(maps) // 2, 0, 0)
+    for si in range(len(maps)):
+        damped = (1.0 - ww) * _minmax(maps[si]) + ww * window
+        p, q = np.unravel_index(int(np.argmax(damped)), damped.shape)
+        val = damped[p, q]
+        if val > best[0]:
+            best = (val, si, p, q)
+    _, s_star, p_star, q_star = best
+    return s_star, p_star, q_star

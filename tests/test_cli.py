@@ -143,6 +143,18 @@ def test_non_finite_box_is_clean_error(trained, tmp_path):
     assert run(["eval", "--results", str(results), "--seq", str(seq)]) == 2
 
 
+def test_initial_box_off_the_frame_is_clean_error(trained, tmp_path):
+    ckpt, seq = trained
+    bad_seq = tmp_path / "seq"
+    shutil.copytree(seq, bad_seq)
+    gt = bad_seq / "groundtruth_rect.txt"
+    lines = gt.read_text().splitlines()
+    gt.write_text("\n".join(["-70,-70,10,10"] + lines[1:]) + "\n")
+    assert run(["track", "--ckpt", str(ckpt), "--seq", str(bad_seq),
+                "--out", str(tmp_path / "r.txt")]) == 2
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_missing_checkpoint_is_clean_error(tmp_path):
     assert run(["track", "--ckpt", str(tmp_path / "nope.ckpt"),
                 "--seq", str(tmp_path), "--out", str(tmp_path / "r.txt")]) == 2

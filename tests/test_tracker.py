@@ -5,6 +5,7 @@ from memtracker import autodiff as ad
 from memtracker import synth, tracker
 from memtracker.model import ABLATIONS, full_config
 from memtracker.tracker import BoundingBox
+from oracles import oracle_choose_peak, oracle_crop_resize
 
 
 # --- crop geometry -----------------------------------------------------------
@@ -106,9 +107,52 @@ def test_crop_matches_bilinear_oracle(rng):
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_crop_matches_masked_gather_oracle_bit_for_bit(rng, dtype):
+    for k in range(300):
+        H, W = rng.integers(5, 60, 2)
+        frame = rng.random((H, W, 3)).astype(dtype)
+        cx, cy = rng.uniform(-40.0, W + 40.0), rng.uniform(-40.0, H + 40.0)  # often off the frame
+        side = rng.uniform(0.05, 1.0) if k % 5 == 0 else rng.uniform(1.0, 120.0)
+        out = 1 if k % 7 == 0 else int(rng.integers(2, 50))
+        got = tracker.crop_resize(frame, cx, cy, side, out)
+        expect = oracle_crop_resize(frame, cx, cy, side, out)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), (H, W, cx, cy, side, out)
+
+
 def test_crop_degenerate_roi_rejected(rng):
     with pytest.raises(ValueError):
         tracker.crop_resize(rng.random((8, 8, 3)), 4.0, 4.0, 0.0, 8)
+
+
+# --- scale choice --------------------------------------------------------------
+
+def test_choose_peak_matches_scale_loop_oracle(rng, desk_cfg):
+    ww = desk_cfg.window_weight
+    cases = [rng.standard_normal((3, 17, 17)).astype(dt) for dt in (np.float32, np.float64)
+             for _ in range(40)]
+    for tied in ((0, 1), (1, 2), (0, 2)):  # two scales with the same map tie exactly
+        maps = rng.standard_normal((3, 17, 17)).astype(np.float32)
+        maps[tied[1]] = maps[tied[0]]
+        cases.append(maps)
+    symmetric = rng.standard_normal((17, 17)).astype(np.float32)
+    cases.append(np.stack([symmetric + symmetric[::-1, ::-1]] * 3))  # cell ties within a map
+    some_flat = rng.standard_normal((3, 17, 17)).astype(np.float32)
+    some_flat[0] = 0.3
+    cases.append(some_flat)
+    for maps in cases:
+        assert tracker.choose_peak(maps, ww) == oracle_choose_peak(maps, ww)
+
+
+def test_choose_peak_finds_no_peak_on_flat_or_non_finite_maps(rng, desk_cfg):
+    ww = desk_cfg.window_weight
+    flat = np.full((3, 17, 17), 0.25, dtype=np.float32)
+    assert oracle_choose_peak(flat, ww) == (0, 8, 8)  # the scale loop kept the shrinking scale
+    assert tracker.choose_peak(flat, ww) is None
+    for bad in (np.nan, np.inf, -np.inf):
+        maps = rng.standard_normal((3, 17, 17)).astype(np.float32)
+        maps[1, 3, 4] = bad
+        assert tracker.choose_peak(maps, ww) is None
 
 
 # --- init ----------------------------------------------------------------------
@@ -168,6 +212,20 @@ def test_init_unknown_ablation_rejected(desk_cfg, desk_params):
         tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg, ablation="bogus")
 
 
+@pytest.mark.parametrize("box", [BoundingBox(-60, -60, 10, 10), BoundingBox(130, 40, 10, 10),
+                                 BoundingBox(40, 101, 10, 10), BoundingBox(-5, 40, 10, 10)])
+def test_init_rejects_box_off_the_frame(desk_cfg, desk_params, box):
+    v = _video()
+    with pytest.raises(ValueError, match="does not overlap"):
+        tracker.init(v.frames[0], box, desk_params, desk_cfg)
+
+
+@pytest.mark.parametrize("box", [BoundingBox(-3, 40, 10, 10), BoundingBox(95, 95, 10, 10)])
+def test_init_accepts_box_partly_in_the_frame(desk_cfg, desk_params, box):
+    v = _video()
+    assert tracker.init(v.frames[0], box, desk_params, desk_cfg).box == box
+
+
 # --- step ----------------------------------------------------------------------
 
 def test_step_requires_state(desk_cfg, desk_params):
@@ -177,13 +235,21 @@ def test_step_requires_state(desk_cfg, desk_params):
 
 
 def test_flat_response_stays_put(desk_cfg, desk_params):
-    # constant frame -> flat response; the cosine window centers the argmax
-    v = _video()
-    state = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg)
-    flat = np.full((96, 96, 3), 0.5, dtype=np.float32)
-    state2, box = tracker.step(state, flat, desk_params, desk_cfg)
-    assert box.cx == pytest.approx(state.box.cx, abs=1e-6)
-    assert box.cy == pytest.approx(state.box.cy, abs=1e-6)
+    # a constant frame gives every scale a flat response: the box, the
+    # controller state and both memories stay exactly as they were
+    v = _video(seed=5, frames=3, distractors=1)
+    with ad.no_grad():
+        state = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg)
+        state, _ = tracker.step(state, v.frames[1], desk_params, desk_cfg)
+        flat = np.full((96, 96, 3), 0.5, dtype=np.float32)
+        after, box = tracker.step(state, flat, desk_params, desk_cfg)
+    assert box == after.box == state.box
+    for a, b in ((after.h.data, state.h.data), (after.c.data, state.c.data),
+                 (after.pos_mem.slots.data, state.pos_mem.slots.data),
+                 (after.pos_mem.access, state.pos_mem.access),
+                 (after.neg_mem.slots.data, state.neg_mem.slots.data),
+                 (after.neg_mem.access, state.neg_mem.access)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_scale_smoothing_value(desk_cfg):
