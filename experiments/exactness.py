@@ -1,6 +1,9 @@
 """Exactness probe: sha256 digests of what the tracker and trainer compute.
 
 Prints one `name digest` line each for
+  - `synth.generate`'s frames, boxes and class ids over fixed calls: desk
+    96 px videos with no, one and three distractors, a 288 px video with a
+    56 px target and a 40 px canvas whose distractors cross its edges;
   - `tracker.crop_resize` over fixed cases: desk 96 px frames cropped to the
     80 px search crop at every scale and the 40 px template crop, the same
     for 288 px frames at 255 and 127 px, a centre off the frame and a
@@ -62,6 +65,18 @@ def box_array(boxes):
 def params_digest(params):
     names = sorted(params)
     return digest(np.array(names), *(params[k].data for k in names))
+
+
+def rendering(frames):
+    cases = [(1000 + d, synth.SynthConfig(frames=frames, drift=1.0, distractors=d)) for d in (0, 1, 3)]
+    cases += [(7, synth.SynthConfig(canvas=288, frames=frames, target_size=56.0, speed=24.0, distractors=1)),
+              (5, synth.SynthConfig(canvas=40, frames=frames, target_size=20.0, speed=30.0, distractors=3,
+                                    size_drift=0.4))]
+    out = []
+    for seed, cfg in cases:
+        video = synth.generate(seed, cfg)
+        out += [*video.frames, box_array(video.boxes), np.array(video.class_id)]
+    yield "synth", digest(*out)
 
 
 def crops():
@@ -140,10 +155,10 @@ def main(argv=None):
     ap.add_argument("--tiny", action="store_true", help="a few frames and steps of each part")
     args = ap.parse_args(argv)
     if args.tiny:
-        parts = (crops(), desk_tracking(4), full_tracking(2), clip_gradients(3), training(2, 3),
+        parts = (rendering(4), crops(), desk_tracking(4), full_tracking(2), clip_gradients(3), training(2, 3),
                  gradient_checks(range(1)))
     else:
-        parts = (crops(), desk_tracking(30), full_tracking(3), clip_gradients(10), training(12, 10),
+        parts = (rendering(40), crops(), desk_tracking(30), full_tracking(3), clip_gradients(10), training(12, 10),
                  gradient_checks(range(5)))
     for part in parts:
         for name, hexdigest in part:

@@ -57,9 +57,10 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:  # + 0.0 maps -0 to +0; a fresh array never aliases g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __getitem__(self, idx):
         return getitem(self, idx)

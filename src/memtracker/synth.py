@@ -60,6 +60,17 @@ def _shape_mask(name, dy, dx, size):
     raise ValueError(f"unknown shape {name!r}")
 
 
+def _draw(img, shape, cx, cy, size, color, grid):
+    """Blend a shape into `img` in place, over only the window where its mask
+    can be non-zero: every `_shape_mask` is 0 beyond 0.56*size (the triangle's
+    half-width) along either axis, and a 0 mask leaves a pixel's bits as they are."""
+    reach = 0.6 * size + 1.0
+    ys = slice(max(int(cy - reach), 0), int(cy + reach) + 1)
+    xs = slice(max(int(cx - reach), 0), int(cx + reach) + 1)
+    m = _shape_mask(shape, grid[ys, None] - cy, grid[None, xs] - cx, size)[..., None].astype(np.float32)
+    img[ys, xs] = img[ys, xs] * (1 - m) + m * color
+
+
 def _background(rng, canvas):
     """Low-contrast smooth texture: an 8x8 noise grid upsampled bilinearly."""
     coarse = rng.uniform(-1.0, 1.0, size=(8, 8, 3))
@@ -125,7 +136,6 @@ def generate(seed, cfg: SynthConfig):
     size_phase = rng.uniform(0.0, 2.0 * np.pi)
 
     grid = np.arange(cfg.canvas, dtype=np.float64) + 0.5
-    gx, gy = np.meshgrid(grid, grid)
 
     frames, boxes = [], []
     T = cfg.frames
@@ -138,14 +148,10 @@ def generate(seed, cfg: SynthConfig):
         d_color = c_start.astype(np.float32)
         size = cfg.target_size * (1.0 + cfg.size_drift * np.sin(2.0 * np.pi * t / T + size_phase))
         for path in distractor_paths:
-            dx, dy = gx - path[t, 0], gy - path[t, 1]
-            m = _shape_mask(shape, dy, dx, cfg.target_size)[..., None].astype(np.float32)
-            img = img * (1 - m) + m * d_color
+            _draw(img, shape, path[t, 0], path[t, 1], cfg.target_size, d_color, grid)
         tx, ty = target_path[t]
-        dx, dy = gx - tx, gy - ty
-        m = _shape_mask(shape, dy, dx, size)[..., None].astype(np.float32)
-        img = img * (1 - m) + m * color
-        frames.append(np.clip(img, 0.0, 1.0).astype(np.float32))
+        _draw(img, shape, tx, ty, size, color, grid)
+        frames.append(np.clip(img, 0.0, 1.0, out=img))
         boxes.append(BoundingBox(cx=float(tx), cy=float(ty), w=float(size), h=float(size)))
     return SynthVideo(frames=frames, boxes=boxes, class_id=class_id)
 

@@ -9,6 +9,7 @@ learns its gate behavior end to end.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import asdict, dataclass
 
@@ -211,6 +212,8 @@ def train(tc: TrainConfig, cfg: ModelConfig, source, params=None, on_step=None):
         lr = tc.lr * (tc.lr_decay ** (step // tc.lr_interval))
         adam.zero_grad()
         losses = []
+        collecting = gc.isenabled()
+        gc.disable()  # the graph has no cycles: reference counting frees it unwalked
         try:
             for _ in range(tc.batch_clips):
                 video = next(source_iter)
@@ -220,10 +223,15 @@ def train(tc: TrainConfig, cfg: ModelConfig, source, params=None, on_step=None):
                 loss = clip_loss(params, cfg, frames, boxes, video.class_id, tc, rng)
                 losses.append(loss.item())
                 ad.backward(ad.mul(loss, 1.0 / tc.batch_clips))
+                del loss  # free the graph before the collector can resume
         except StopIteration:
             break
-        adam.step(lr)
+        finally:
+            if collecting:
+                gc.enable()
         mean_loss = float(np.mean(losses))
+        if math.isfinite(mean_loss):  # a non-finite loss leaves the parameters as they were
+            adam.step(lr)
         history.append(mean_loss)
         if on_step is not None:
             on_step(step, mean_loss)

@@ -170,3 +170,43 @@ def oracle_choose_peak(maps, window_weight):
             best = (val, si, p, q)
     _, s_star, p_star, q_star = best
     return s_star, p_star, q_star
+
+
+def oracle_generate(seed, cfg):
+    """`synth.generate` with every shape's mask computed over the whole
+    canvas, from the same random draws, and each frame clipped into a copy.
+    Returns (frames, boxes as (cx, cy, w, h) tuples, class_id)."""
+    from memtracker import synth
+
+    rng = np.random.default_rng(seed)
+    class_id = int(rng.integers(cfg.num_classes))
+    shape = synth.SHAPE_NAMES[class_id % len(synth.SHAPE_NAMES)]
+    c_start = rng.uniform(0.55, 1.0, size=3)
+    c_start[int(rng.integers(3))] *= 0.25
+    c_end = 1.0 - c_start
+    bg = synth._background(rng, cfg.canvas)
+    target_path = synth._paths(rng, cfg, 1)[0]
+    distractor_paths = synth._orbit_paths(rng, cfg, target_path, cfg.distractors)
+    size_phase = rng.uniform(0.0, 2.0 * np.pi)
+
+    grid = np.arange(cfg.canvas, dtype=np.float64) + 0.5
+    gx, gy = np.meshgrid(grid, grid)
+    frames, boxes = [], []
+    T = cfg.frames
+    for t in range(T):
+        img = bg.copy()
+        u = cfg.drift * (t / max(T - 1, 1))
+        color = ((1.0 - u) * c_start + u * c_end).astype(np.float32)
+        d_color = c_start.astype(np.float32)
+        size = cfg.target_size * (1.0 + cfg.size_drift * np.sin(2.0 * np.pi * t / T + size_phase))
+        for path in distractor_paths:
+            dx, dy = gx - path[t, 0], gy - path[t, 1]
+            m = synth._shape_mask(shape, dy, dx, cfg.target_size)[..., None].astype(np.float32)
+            img = img * (1 - m) + m * d_color
+        tx, ty = target_path[t]
+        dx, dy = gx - tx, gy - ty
+        m = synth._shape_mask(shape, dy, dx, size)[..., None].astype(np.float32)
+        img = img * (1 - m) + m * color
+        frames.append(np.clip(img, 0.0, 1.0).astype(np.float32))
+        boxes.append((float(tx), float(ty), float(size), float(size)))
+    return frames, boxes, class_id

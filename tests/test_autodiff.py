@@ -401,6 +401,35 @@ def test_backward_accumulates_across_paths():
     assert x.grad == pytest.approx(10.0)
 
 
+def _zero_fill_and_add(data, g):
+    grad = np.zeros_like(data)
+    grad += g
+    return grad
+
+
+@pytest.mark.parametrize("leaf_dtype, g_dtype, g_shape", [
+    (np.float64, np.float64, (4, 5)),
+    (np.float32, np.float32, (4, 5)),
+    (np.float32, np.float64, (4, 5)),   # cast once into the leaf's dtype
+    (np.float64, np.float64, (1, 5)),   # broadcast along rows
+    (np.float32, np.float64, (5,)),     # broadcast over a missing axis
+    (np.float32, np.float64, ()),       # a scalar
+])
+def test_first_gradient_matches_zero_fill_and_add(leaf_dtype, g_dtype, g_shape):
+    g = np.random.default_rng(5).standard_normal(g_shape).astype(g_dtype)
+    specials = np.array([-0.0, np.nan, np.inf, -np.inf, 1e-40], dtype=g_dtype)
+    g.reshape(-1)[:] = np.resize(np.concatenate([specials, g.reshape(-1)]), g.size)
+    leaf = Tensor(np.ones((4, 5), dtype=leaf_dtype), requires_grad=True)
+    leaf._accumulate(g)
+    want = _zero_fill_and_add(leaf.data, g)
+    assert leaf.grad.dtype == want.dtype and leaf.grad.shape == want.shape
+    assert leaf.grad.tobytes() == want.tobytes()
+    assert not np.shares_memory(leaf.grad, g)  # a VJP may return its upstream gradient itself
+    leaf._accumulate(g)
+    want += g
+    assert leaf.grad.tobytes() == want.tobytes()
+
+
 def test_backward_visits_shared_subgraph_once():
     x = Tensor(np.array(2.0), requires_grad=True, dtype=np.float64)
     shared = ad.mul(x, x)

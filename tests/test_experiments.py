@@ -16,5 +16,5 @@ def test_exactness_probe_tiny_prints_one_digest_per_part():
     lines = [line.split() for line in out.splitlines()]
     assert all(len(parts) == 2 and re.fullmatch(r"[0-9a-f]{64}", parts[1]) for parts in lines), out
     assert [name for name, _ in lines] == (
-        ["crop"] + [f"track-desk/{a}" for a in ABLATIONS]
+        ["synth", "crop"] + [f"track-desk/{a}" for a in ABLATIONS]
         + ["track-full/none", "clip/21", "clip/22", "train/history", "train/params", "gradcheck"])

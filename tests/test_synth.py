@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memtracker import synth
+from oracles import oracle_generate
 
 
 def test_same_seed_bit_identical():
@@ -60,3 +64,49 @@ def test_source_is_deterministic_stream():
     for _ in range(3):
         a, b = next(s1), next(s2)
         assert np.array_equal(a.frames[0], b.frames[0])
+
+
+# --- windowed rendering ------------------------------------------------------------
+
+RENDER_CASES = {
+    "desk": synth.SynthConfig(frames=6),
+    "desk-1-distractor": synth.SynthConfig(frames=6, drift=1.0, distractors=1),
+    "desk-3-distractors": synth.SynthConfig(frames=6, drift=1.0, distractors=3, size_drift=0.4),
+    "full-288": synth.SynthConfig(canvas=288, frames=3, target_size=56.0, speed=24.0, distractors=1),
+    # distractors orbit up to 32 px from a centred target, so they cross every edge
+    "edges-40": synth.SynthConfig(canvas=40, frames=6, target_size=20.0, speed=30.0, distractors=3,
+                                  size_drift=0.4),
+}
+RENDER_SEEDS = (0, 1, 4, 11, 21, 7)  # ring, triangle, plus, disk, square, ring
+
+
+def test_render_seeds_cover_every_shape():
+    class_ids = {synth.generate(s, synth.SynthConfig(frames=1)).class_id for s in RENDER_SEEDS}
+    assert {synth.SHAPE_NAMES[c] for c in class_ids} == set(synth.SHAPE_NAMES)
+
+
+@pytest.mark.parametrize("case", RENDER_CASES)
+def test_windowed_render_matches_full_canvas_render(case):
+    cfg = RENDER_CASES[case]
+    for seed in RENDER_SEEDS:
+        video = synth.generate(seed, cfg)
+        frames, boxes, class_id = oracle_generate(seed, cfg)
+        assert video.class_id == class_id
+        assert [(b.cx, b.cy, b.w, b.h) for b in video.boxes] == boxes
+        for got, want in zip(video.frames, frames, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (case, seed)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(shape=st.sampled_from(synth.SHAPE_NAMES), size=st.floats(0.5, 400.0),
+       beyond=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=8),
+       across=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8), flip=st.booleans())
+def test_shape_masks_vanish_beyond_the_render_reach(shape, size, beyond, across, flip):
+    # the reach `synth._draw` renders within: 0.6*size + 1 px along either axis
+    reach = 0.6 * size + 1.0
+    far = np.array(beyond)[:, None] + reach
+    far = -far if flip else far
+    other = np.array(across)[None, :] * reach
+    assert not synth._shape_mask(shape, far, other, size).any()
+    assert not synth._shape_mask(shape, other.T, far.T, size).any()

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -174,6 +176,94 @@ def test_train_finite_source_stops_cleanly():
     videos = _mini_videos(4, frames=5)
     params, hist = train.train(tc, cfg, iter(videos))
     assert len(hist) == 4  # one clip per step, then exhaustion
+
+
+def test_non_finite_loss_raises_before_adam_touches_the_parameters():
+    cfg = _mini_cfg()
+    params = init_params(cfg, 3)
+    params["featnet/cls_b2"].data[0] = np.nan
+    before = {k: p.data.tobytes() for k, p in params.items()}
+    seen = []
+    tc = train.TrainConfig(steps=2, clip_len=3, seed=1)
+    with pytest.raises(FloatingPointError, match="step 0"):
+        train.train(tc, cfg, iter(_mini_videos(2, frames=5)), params=params,
+                    on_step=lambda step, loss: seen.append(loss))
+    assert len(seen) == 1 and np.isnan(seen[0])  # on_step saw the loss first
+    assert [k for k, p in params.items() if p.data.tobytes() != before[k]] == []
+
+
+# --- the collector pause -------------------------------------------------------------
+
+@pytest.fixture()
+def collector():
+    """The collector on for the test, and as it was found afterwards."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _micro_run(source, steps=3, **kw):
+    tc = train.TrainConfig(steps=steps, clip_len=3, lr=1e-3, seed=1)
+    return train.train(tc, _mini_cfg(), source, **kw)
+
+
+def test_collector_is_back_on_after_a_run(collector):
+    _micro_run(iter(_mini_videos(3, frames=5)))
+    assert gc.isenabled()
+
+
+def test_collector_is_back_on_after_the_source_runs_out(collector):
+    _, hist = _micro_run(iter(_mini_videos(2, frames=5)), steps=5)
+    assert len(hist) == 2 and gc.isenabled()
+
+
+def test_collector_is_back_on_after_clip_loss_raises(collector):
+    videos = _mini_videos(1, frames=3)
+    for frame in videos[0].frames:
+        frame[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        _micro_run(iter(videos))
+    assert gc.isenabled()
+
+
+def test_collector_stays_off_when_the_caller_turned_it_off(collector):
+    gc.disable()
+    _micro_run(iter(_mini_videos(2, frames=5)), steps=2)
+    assert not gc.isenabled()
+
+
+def test_a_clip_graph_has_no_cycles(collector, desk_cfg, desk_params):
+    # reference counting alone frees a step's graph, so pausing the
+    # collector leaves nothing for it to find
+    v = synth.generate(21, synth.SynthConfig(frames=10, drift=1.0, distractors=1))
+    gc.collect()
+    gc.disable()
+    try:
+        loss = train.clip_loss(desk_params, desk_cfg, v.frames, v.boxes, v.class_id,
+                               train.TrainConfig(), np.random.default_rng(0))
+        ad.backward(loss)
+        del loss
+        assert gc.collect() == 0
+    finally:
+        for p in desk_params.values():
+            p.zero_grad()
+
+
+def test_only_the_parameters_outlive_a_step(collector):
+    params = init_params(_mini_cfg(), 2)
+    gc.collect()
+    # held, so no Tensor made later can take one of these ids
+    already = [o for o in gc.get_objects() if isinstance(o, Tensor)]
+    old_ids = {id(o) for o in already}
+    strays = []
+
+    def on_step(step, loss):
+        strays.extend(o.data.shape for o in gc.get_objects()
+                      if isinstance(o, Tensor) and id(o) not in old_ids)
+
+    _micro_run(iter(_mini_videos(2, frames=5)), steps=2, params=params, on_step=on_step)
+    assert strays == []
 
 
 def test_gradient_reaches_every_parameter_family():
