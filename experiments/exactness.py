@@ -14,7 +14,9 @@ Prints one `name digest` line each for
   - two 10-frame training clips' loss and every parameter gradient;
   - 12 training steps: the loss history and the final parameters;
   - the worst-error report of the float64 gradient-check suite, every
-    primitive and the composed model, over five seeds.
+    primitive and the composed model, over five seeds;
+  - every file that `memtracker synth`, `train` (every synth and training
+    flag off its default, and again on `--data`), `track` and `eval` write.
 
 Weights are the seeded initial parameters, BLAS runs on one thread, and
 only the public API is used, so the script runs unchanged on any checkout.
@@ -34,8 +36,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -43,7 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from memtracker import autodiff as ad  # noqa: E402
-from memtracker import gradcheck, synth, tracker, train  # noqa: E402
+from memtracker import cli, gradcheck, synth, tracker, train  # noqa: E402
 from memtracker.model import ABLATIONS, desk_config, full_config, init_params  # noqa: E402
 
 PARAM_SEED = 3
@@ -150,16 +155,38 @@ def gradient_checks(seeds):
     yield "gradcheck", digest(np.array(names), np.array([report[k] for k in names], dtype=np.float64))
 
 
+def command_line(steps):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        seqs, seq, model, results = f"{tmp}/seqs", f"{tmp}/seqs/seq_001", f"{tmp}/flags.ckpt", f"{tmp}/r.txt"
+        looks = ["--canvas", "64", "--classes", "3", "--size", "14", "--drift", "0.9", "--size-drift", "0.2",
+                 "--distractors", "1", "--speed", "10"]
+        for argv in (["synth", "--out", seqs, "--num", "2", "--seed", "3", "--frames", "6", *looks],
+                     ["train", "--out", model, "--steps", str(steps), "--batch", "2", "--clip-len", "3",
+                      "--lr", "1e-3", "--lr-decay", "0.5", "--lr-interval", "1", "--kappa", "0.1",
+                      "--seed", "4", "--radius", "1.5", "--frames", "7", "--log-every", "1", *looks],
+                     ["train", "--out", f"{tmp}/data.ckpt", "--data", seqs, "--steps", str(steps),
+                      "--clip-len", "3"],
+                     ["track", "--ckpt", model, "--seq", seq, "--out", results],
+                     ["eval", "--results", results, "--seq", seq, "--json", f"{tmp}/metrics.json",
+                      "--csv", f"{tmp}/curves.csv"]):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"memtracker {argv[0]} failed")
+        paths = sorted(p for p in Path(tmp).rglob("*") if p.is_file())
+        files = digest(np.array([str(p.relative_to(tmp)) for p in paths]),
+                       *(np.frombuffer(p.read_bytes(), dtype=np.uint8) for p in paths))
+    yield "cli", files
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tiny", action="store_true", help="a few frames and steps of each part")
     args = ap.parse_args(argv)
     if args.tiny:
         parts = (rendering(4), crops(), desk_tracking(4), full_tracking(2), clip_gradients(3), training(2, 3),
-                 gradient_checks(range(1)))
+                 gradient_checks(range(1)), command_line(2))
     else:
         parts = (rendering(40), crops(), desk_tracking(30), full_tracking(3), clip_gradients(10), training(12, 10),
-                 gradient_checks(range(5)))
+                 gradient_checks(range(5)), command_line(6))
     for part in parts:
         for name, hexdigest in part:
             print(f"{name:<24} {hexdigest}", flush=True)

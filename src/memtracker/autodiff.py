@@ -222,24 +222,18 @@ def softplus(a):
 # ---------------------------------------------------------------------------
 # reductions / shape ops
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a, axis=None):
     def vjp(g):
         if axis is None:
             return np.broadcast_to(g, a.data.shape).copy() if np.ndim(g) else np.full_like(a.data, g)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.data.shape).copy()
+        return np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy()
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, vjp))
+    return _make(a.data.sum(axis=axis), (a, vjp))
 
 
-def tmean(a, axis=None, keepdims=False):
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.data.shape[ax] for ax in axis]))
-    else:
-        n = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+def tmean(a, axis=None):
+    n = a.data.size if axis is None else a.data.shape[axis]
+    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
 def reshape(a, shape):

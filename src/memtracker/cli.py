@@ -6,45 +6,38 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import evaluate, gradcheck, synth, tracker, train
-from .model import ABLATIONS, config_from_dict, config_to_dict, desk_config
-from .ppm import write_ppm
+from .model import ABLATIONS, config_from_dict, config_to_dict, desk_config, init_params
+from .ppm import read_ppm
+
+# config fields whose flags keep their older, shorter names
+FLAG_NAMES = {"num_classes": "classes", "target_size": "size", "batch_clips": "batch"}
 
 
-def _synth_config_from_args(args):
-    return synth.SynthConfig(canvas=args.canvas, frames=args.frames,
-                             num_classes=args.classes, target_size=args.size,
-                             drift=args.drift, size_drift=args.size_drift,
-                             distractors=args.distractors, speed=args.speed)
+def add_config_flags(p, cls, **defaults):
+    """One flag per field of dataclass `cls`, typed and defaulted by the
+    field itself unless `defaults` names it."""
+    types = get_type_hints(cls)
+    for f in fields(cls):
+        flag = "--" + FLAG_NAMES.get(f.name, f.name).replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=types[f.name], default=defaults.get(f.name, f.default))
 
 
-def _add_synth_options(p, frames_default=40):
-    p.add_argument("--canvas", type=int, default=96)
-    p.add_argument("--frames", type=int, default=frames_default)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--size", type=float, default=18.0)
-    p.add_argument("--drift", type=float, default=0.6)
-    p.add_argument("--size-drift", type=float, default=0.12)
-    p.add_argument("--distractors", type=int, default=0)
-    p.add_argument("--speed", type=float, default=14.0)
+def config_from_args(cls, args):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def cmd_synth(args):
-    cfg = _synth_config_from_args(args)
+    cfg = config_from_args(synth.SynthConfig, args)
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.num):
-        video = synth.generate(args.seed + i, cfg)
-        seq_dir = os.path.join(args.out, f"seq_{i:03d}")
-        os.makedirs(seq_dir, exist_ok=True)
-        for t, frame in enumerate(video.frames):
-            write_ppm(os.path.join(seq_dir, f"{t:06d}.ppm"), frame)
-        evaluate.save_results(os.path.join(seq_dir, "groundtruth_rect.txt"), video.boxes)
-        with open(os.path.join(seq_dir, "meta.txt"), "w") as fh:
-            fh.write(f"class_id = {video.class_id}\n")
+        evaluate.save_sequence(os.path.join(args.out, f"seq_{i:03d}"), synth.generate(args.seed + i, cfg))
     print(f"wrote {args.num} sequences to {args.out}")
     return 0
 
@@ -53,21 +46,19 @@ def cmd_train(args):
     if args.config:
         cfg = config_from_dict(ckpt.load_config(args.config))
     else:
-        cfg = desk_config(num_classes=args.classes)
+        cfg = desk_config(num_classes=args.num_classes)
     if args.train_config:
         tc = train.train_config_from_dict(ckpt.load_config(args.train_config))
     else:
-        tc = train.TrainConfig(steps=args.steps, batch_clips=args.batch, clip_len=args.clip_len,
-                               lr=args.lr, lr_decay=args.lr_decay, lr_interval=args.lr_interval,
-                               kappa=args.kappa, seed=args.seed, radius=args.radius)
+        tc = config_from_args(train.TrainConfig, args)
     if args.data:
         records = [evaluate.load_sequence(os.path.join(args.data, d))
                    for d in sorted(os.listdir(args.data))
                    if os.path.isdir(os.path.join(args.data, d))]
-        source = _directory_source(records)
+        source = (synth.SynthVideo(frames=[read_ppm(p) for p in rec.frame_paths], boxes=rec.boxes,
+                                   class_id=rec.class_id) for rec in records)
     else:
-        scfg = _synth_config_from_args(args)
-        source = synth.SyntheticSource(scfg, args.seed)
+        source = synth.SyntheticSource(config_from_args(synth.SynthConfig, args), args.seed)
 
     def report(step, loss):
         if args.log_every and (step % args.log_every == 0 or step == tc.steps - 1):
@@ -84,19 +75,6 @@ def cmd_train(args):
     return 0
 
 
-def _directory_source(records):
-    from .ppm import read_ppm
-
-    for rec in records:
-        class_id = 0
-        meta = os.path.join(os.path.dirname(rec.frame_paths[0]), "meta.txt")
-        if os.path.exists(meta):
-            entries = ckpt.load_config(meta)
-            class_id = int(entries.get("class_id", 0))
-        frames = [read_ppm(p) for p in rec.frame_paths]
-        yield synth.SynthVideo(frames=frames, boxes=rec.boxes, class_id=class_id)
-
-
 def cmd_track(args):
     cfg_path = args.config or (args.ckpt + ".cfg")
     if not os.path.exists(cfg_path):
@@ -104,9 +82,15 @@ def cmd_track(args):
         return 2
     cfg = config_from_dict(ckpt.load_config(cfg_path))
     if args.npos or args.nneg:
-        from dataclasses import replace
         cfg = replace(cfg, n_pos=args.npos or cfg.n_pos, n_neg=args.nneg or cfg.n_neg)
     params = ckpt.load_checkpoint(args.ckpt)
+    want = {k: v.data.shape for k, v in init_params(cfg, 0).items()}
+    have = {k: v.data.shape for k, v in params.items()}
+    bad = next((k for k in [*want, *have] if want.get(k) != have.get(k)), None)
+    if bad is not None:
+        raise ValueError(f"{args.ckpt} does not fit {cfg_path}: tensor {bad!r} is "
+                         f"{have.get(bad, 'absent')} in the checkpoint but {want.get(bad, 'absent')} "
+                         "in the config")
     record = evaluate.load_sequence(args.seq)
     t0 = time.time()
     boxes = tracker.track_sequence(record.frame_paths, record.boxes[0], params, cfg,
@@ -152,7 +136,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--num", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    _add_synth_options(p)
+    add_config_flags(p, synth.SynthConfig)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train a checkpoint")
@@ -160,17 +144,9 @@ def build_parser():
     p.add_argument("--config", help="model config file (key = value)")
     p.add_argument("--train-config", help="training config file; overrides the schedule flags")
     p.add_argument("--data", help="directory of sequences; default: synthetic stream")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--clip-len", type=int, default=8)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--lr-decay", type=float, default=0.8)
-    p.add_argument("--lr-interval", type=int, default=10000)
-    p.add_argument("--kappa", type=float, default=0.05)
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log-every", type=int, default=100)
-    _add_synth_options(p, frames_default=24)
+    add_config_flags(p, train.TrainConfig, steps=2000)
+    add_config_flags(p, synth.SynthConfig, frames=24)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("track", help="run the tracker over a sequence")

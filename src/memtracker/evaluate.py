@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import load_config, save_config
+from .ppm import write_ppm
 from .tracker import BoundingBox
 
 PRECISION_THRESHOLDS = np.arange(0, 51, 1)
@@ -26,6 +28,7 @@ class SequenceRecord:
     name: str
     frame_paths: list
     boxes: list  # ground truth, one per frame
+    class_id: int  # from meta.txt; 0 when the directory has none
 
 
 @dataclass
@@ -97,8 +100,20 @@ def _parse_box_line(line):
     return BoundingBox.from_topleft(x, y, w, h)
 
 
+def save_sequence(directory, video):
+    """Write `video` (a synth.SynthVideo) as a sequence directory: one
+    %06d.ppm frame per time step, groundtruth_rect.txt and a meta.txt
+    holding its class id."""
+    os.makedirs(directory, exist_ok=True)
+    for t, frame in enumerate(video.frames):
+        write_ppm(os.path.join(directory, f"{t:06d}.ppm"), frame)
+    save_results(os.path.join(directory, "groundtruth_rect.txt"), video.boxes)
+    save_config(os.path.join(directory, "meta.txt"), {"class_id": video.class_id})
+
+
 def load_sequence(directory):
-    """Read a sequence directory: *.ppm frames plus groundtruth_rect.txt."""
+    """Read a sequence directory: *.ppm frames, groundtruth_rect.txt and an
+    optional meta.txt class id."""
     names = sorted(f for f in os.listdir(directory) if f.endswith(".ppm"))
     if not names:
         raise ValueError(f"{directory}: no .ppm frames found")
@@ -107,9 +122,11 @@ def load_sequence(directory):
         boxes = [_parse_box_line(line) for line in fh if line.strip()]
     if len(boxes) != len(names):
         raise ValueError(f"{directory}: {len(names)} frames but {len(boxes)} ground-truth boxes")
+    meta = os.path.join(directory, "meta.txt")
+    class_id = int(load_config(meta).get("class_id", 0)) if os.path.exists(meta) else 0
     return SequenceRecord(name=os.path.basename(os.path.normpath(directory)),
                           frame_paths=[os.path.join(directory, n) for n in names],
-                          boxes=boxes)
+                          boxes=boxes, class_id=class_id)
 
 
 def save_results(path, boxes):

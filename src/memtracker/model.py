@@ -61,6 +61,10 @@ class ModelConfig:
         # a queue memory's least-accessed slot is its oldest only for a decay in (0, 1]
         if not 0.0 < self.mem_decay <= 1.0:
             raise ValueError(f"mem_decay must be in (0, 1], got {self.mem_decay}")
+        # every distractor a frame yields takes a negative slot
+        for name, low in (("n_pos", 1), ("num_scales", 1), ("top_k", 0), ("n_neg", max(self.top_k, 1))):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
     @property
     def search_ratio(self):

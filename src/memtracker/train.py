@@ -114,6 +114,8 @@ def matching_loss(response, label_map: LabelMap):
 
 
 def classification_loss(probs, class_id):
+    if not 0 <= class_id < probs.data.shape[0]:
+        raise ValueError(f"class id {class_id} outside the model's {probs.data.shape[0]} classes")
     return ad.neg(ad.tlog(probs[int(class_id)]))
 
 

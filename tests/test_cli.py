@@ -1,17 +1,58 @@
 import json
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from memtracker.checkpoint import save_config
-from memtracker.cli import main
+from memtracker.checkpoint import load_checkpoint, save_checkpoint, save_config
+from memtracker.cli import build_parser, config_from_args, main
 from memtracker.model import config_from_dict, config_to_dict, desk_config
+from memtracker.synth import SynthConfig
+from memtracker.train import TrainConfig
 
 
 def run(argv):
     return main(argv)
+
+
+SYNTH_FLAGS = {"--canvas": "canvas", "--frames": "frames", "--classes": "num_classes",
+               "--size": "target_size", "--drift": "drift", "--size-drift": "size_drift",
+               "--distractors": "distractors", "--speed": "speed"}
+TRAIN_FLAGS = {"--steps": "steps", "--batch": "batch_clips", "--clip-len": "clip_len", "--lr": "lr",
+               "--lr-decay": "lr_decay", "--lr-interval": "lr_interval", "--kappa": "kappa",
+               "--seed": "seed", "--radius": "radius"}
+
+
+def test_every_config_field_has_a_flag(capsys):
+    assert sorted(SYNTH_FLAGS.values()) == sorted(f.name for f in fields(SynthConfig))
+    assert sorted(TRAIN_FLAGS.values()) == sorted(f.name for f in fields(TrainConfig))
+    # by their full names: argparse would also take an old name as a prefix of a new one
+    for command, flags in (("synth", SYNTH_FLAGS), ("train", {**SYNTH_FLAGS, **TRAIN_FLAGS})):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        usage = capsys.readouterr().out
+        assert all(f" {flag} " in usage for flag in flags), usage
+
+
+@pytest.mark.parametrize("command,configs", [("synth", [SynthConfig()]),
+                                             ("train", [SynthConfig(frames=24), TrainConfig(steps=2000)])])
+def test_flag_defaults_build_the_default_configs(command, configs):
+    args = build_parser().parse_args([command, "--out", "x"])
+    assert [config_from_args(type(c), args) for c in configs] == configs
+
+
+@pytest.mark.parametrize("command,flag,cls,field",
+                         [("synth", f, SynthConfig, n) for f, n in SYNTH_FLAGS.items()]
+                         + [("train", f, SynthConfig, n) for f, n in SYNTH_FLAGS.items()]
+                         + [("train", f, TrainConfig, n) for f, n in TRAIN_FLAGS.items()])
+def test_each_flag_reaches_its_field(command, flag, cls, field):
+    default = getattr(cls(), field)
+    value = default + (3 if isinstance(default, int) else 0.25)
+    args = build_parser().parse_args([command, "--out", "x", flag, str(value)])
+    got = getattr(config_from_args(cls, args), field)
+    assert got == value and type(got) is type(default)
 
 
 def test_synth_byte_identical(tmp_path):
@@ -155,6 +196,51 @@ def test_initial_box_off_the_frame_is_clean_error(trained, tmp_path):
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("mismatch,tensor", [("config drops a layer", "featnet/cls_w1"),
+                                             ("checkpoint drops a tensor", "ctrl/w_h0")])
+def test_track_with_checkpoint_that_does_not_fit_its_config_is_clean_error(trained, tmp_path, capsys,
+                                                                          mismatch, tensor):
+    ckpt, seq = trained
+    params, entries = load_checkpoint(str(ckpt)), config_to_dict(desk_config())
+    if mismatch == "config drops a layer":
+        entries["num_layers"] = 2
+        del entries["layer2"]
+    else:
+        del params[tensor]
+    model, out = tmp_path / "model.ckpt", tmp_path / "r.txt"
+    save_checkpoint(str(model), params)
+    save_config(str(model) + ".cfg", entries)
+    assert run(["track", "--ckpt", str(model), "--seq", str(seq), "--out", str(out)]) == 2
+    assert repr(tensor) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_track_with_fewer_negative_slots_than_distractors_is_clean_error(trained, tmp_path):
+    ckpt, seq = trained
+    out = tmp_path / "r.txt"
+    assert run(["track", "--ckpt", str(ckpt), "--seq", str(seq), "--out", str(out), "--nneg", "1"]) == 2
+    assert not out.exists()
+
+
+def test_train_on_more_classes_than_the_model_has_is_clean_error(tmp_path):
+    cfg, out = tmp_path / "two.cfg", tmp_path / "model.ckpt"
+    save_config(str(cfg), config_to_dict(desk_config(num_classes=2)))
+    # the first synthetic video at seed 0 is of class 4
+    assert run(["train", "--out", str(out), "--config", str(cfg), "--steps", "1", "--clip-len", "2",
+                "--frames", "4", "--canvas", "48", "--size", "12", "--log-every", "0"]) == 2
+    assert not out.exists()
+
+
+def test_train_on_data_with_a_negative_class_id_is_clean_error(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "model.ckpt"
+    assert run(["synth", "--out", str(data), "--num", "1", "--frames", "4", "--canvas", "48",
+                "--size", "12"]) == 0
+    (data / "seq_000" / "meta.txt").write_text("class_id = -1\n")
+    assert run(["train", "--out", str(out), "--data", str(data), "--steps", "1", "--clip-len", "2",
+                "--log-every", "0"]) == 2
+    assert not out.exists()
+
+
 def test_missing_checkpoint_is_clean_error(tmp_path):
     assert run(["track", "--ckpt", str(tmp_path / "nope.ckpt"),
                 "--seq", str(tmp_path), "--out", str(tmp_path / "r.txt")]) == 2
@@ -183,11 +269,14 @@ def test_track_with_impossible_conv_layer_is_clean_error(trained, tmp_path, laye
                 "--config", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("decay", [0.0, -0.5, 1.5])
-def test_config_rejects_mem_decay_outside_unit_interval(decay):
+# the desk model's top_k is 2, so it needs at least two negative slots
+@pytest.mark.parametrize("key,value", [("mem_decay", 0.0), ("mem_decay", -0.5), ("mem_decay", 1.5),
+                                       ("n_pos", 0), ("n_pos", -1), ("num_scales", 0), ("top_k", -1),
+                                       ("n_neg", 1)])
+def test_config_rejects_values_that_cannot_run(key, value):
     entries = config_to_dict(desk_config())
-    entries["mem_decay"] = decay
-    with pytest.raises(ValueError, match="mem_decay"):
+    entries[key] = value
+    with pytest.raises(ValueError, match=key):
         config_from_dict(entries)
 
 

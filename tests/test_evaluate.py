@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from memtracker import evaluate
+from memtracker import evaluate, synth
+from memtracker.ppm import read_ppm
 from memtracker.tracker import BoundingBox
 
 
@@ -114,3 +115,19 @@ def test_load_sequence_validates_counts(tmp_path):
     (seq / "groundtruth_rect.txt").write_text("1,1,3,3\n2,2,3,3\n")
     with pytest.raises(ValueError):
         evaluate.load_sequence(str(seq))
+
+
+def test_sequence_roundtrip(tmp_path):
+    video = synth.generate(0, synth.SynthConfig(frames=3, canvas=48, target_size=12.0))
+    assert video.class_id != 0
+    seq = tmp_path / "seq"
+    evaluate.save_sequence(str(seq), video)
+    record = evaluate.load_sequence(str(seq))
+    assert len(record.frame_paths) == len(video.frames)
+    for path, frame in zip(record.frame_paths, video.frames):
+        np.testing.assert_allclose(read_ppm(path), frame, rtol=0, atol=0.5 / 255 + 1e-6)
+    for got, want in zip(record.boxes, video.boxes):
+        assert (got.cx, got.cy, got.w, got.h) == pytest.approx((want.cx, want.cy, want.w, want.h), abs=1e-3)
+    assert record.class_id == video.class_id
+    (seq / "meta.txt").unlink()
+    assert evaluate.load_sequence(str(seq)).class_id == 0

@@ -17,4 +17,4 @@ def test_exactness_probe_tiny_prints_one_digest_per_part():
     assert all(len(parts) == 2 and re.fullmatch(r"[0-9a-f]{64}", parts[1]) for parts in lines), out
     assert [name for name, _ in lines] == (
         ["synth", "crop"] + [f"track-desk/{a}" for a in ABLATIONS]
-        + ["track-full/none", "clip/21", "clip/22", "train/history", "train/params", "gradcheck"])
+        + ["track-full/none", "clip/21", "clip/22", "train/history", "train/params", "gradcheck", "cli"])
