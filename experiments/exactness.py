@@ -4,10 +4,11 @@ Prints one `name digest` line each for
   - `synth.generate`'s frames, boxes and class ids over fixed calls: desk
     96 px videos with no, one and three distractors, a 288 px video with a
     56 px target and a 40 px canvas whose distractors cross its edges;
-  - `tracker.crop_resize` over fixed cases: desk 96 px frames cropped to the
-    80 px search crop at every scale and the 40 px template crop, the same
-    for 288 px frames at 255 and 127 px, a centre off the frame and a
-    float64 frame;
+  - `tracker.crop_resize` over fixed cases, each frame prepared once by
+    `tracker.prepare_frame`: desk 96 px frames cropped to the 80 px search
+    crop at every scale and the 40 px template crop, the same for 288 px
+    frames at 255 and 127 px, a centre off the frame and a frame prepared
+    in float64;
   - the desk model's boxes under every ablation over three 30-frame
     synthetic sequences (no, one and three distractors);
   - the full model's boxes over a 3-frame, 288 px sequence;
@@ -91,13 +92,15 @@ def crops():
     out = []
     for cfg, video in ((desk_config(), desk), (full_config(), full)):
         for frame, box in zip(video.frames, video.boxes):
+            prepared = tracker.prepare_frame(frame, frame.dtype)
             cx, cy, side = tracker.search_roi(box, cfg)
-            out += [tracker.crop_resize(frame, cx, cy, side * s, cfg.net.search_size)
+            out += [tracker.crop_resize(prepared, cx, cy, side * s, cfg.net.search_size)
                     for s in cfg.scale_factors]
             cx, cy, side = tracker.object_roi(box, cfg.context_factor)
-            out.append(tracker.crop_resize(frame, cx, cy, side, cfg.net.object_size))
-    out.append(tracker.crop_resize(full.frames[0], -40.3, 301.7, 90.0, 80))
-    out.append(tracker.crop_resize(full.frames[0].astype(np.float64), 150.2, 131.9, 170.3, 127))
+            out.append(tracker.crop_resize(prepared, cx, cy, side, cfg.net.object_size))
+    frame = full.frames[0]
+    out.append(tracker.crop_resize(tracker.prepare_frame(frame, frame.dtype), -40.3, 301.7, 90.0, 80))
+    out.append(tracker.crop_resize(tracker.prepare_frame(frame, np.float64), 150.2, 131.9, 170.3, 127))
     yield "crop", digest(*out)
 
 

@@ -409,9 +409,17 @@ def cross_correlate(search, template):
 
 
 def avg_pool(x, n, stride):
-    """Mean over each n-by-n window per channel; valid placement only."""
+    """Mean over each n-by-n window per channel; valid placement only.
+
+    The forward is a running sum over the n*n strided views in row-major
+    window order, divided by n*n, as `max_pool` runs its maximum.
+    """
     x = _as_tensor(x)
-    return _make(_windows(x.data, n, n, stride, "avg_pool").mean(axis=(2, 3)),
+    windows = _windows(x.data, n, n, stride, "avg_pool")
+    total = windows[:, :, 0, 0].copy()
+    for k in range(1, n * n):
+        total += windows[:, :, k // n, k % n]
+    return _make(total / (n * n),
                  (x, lambda g: _col2im(np.broadcast_to(g / (n * n), (n, n) + g.shape),
                                        x.data.shape, stride)))
 

@@ -81,8 +81,8 @@ def cmd_track(args):
         print(f"error: model config {cfg_path} not found", file=sys.stderr)
         return 2
     cfg = config_from_dict(ckpt.load_config(cfg_path))
-    if args.npos or args.nneg:
-        cfg = replace(cfg, n_pos=args.npos or cfg.n_pos, n_neg=args.nneg or cfg.n_neg)
+    overrides = {"n_pos": args.npos, "n_neg": args.nneg}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     params = ckpt.load_checkpoint(args.ckpt)
     want = {k: v.data.shape for k, v in init_params(cfg, 0).items()}
     have = {k: v.data.shape for k, v in params.items()}
@@ -155,8 +155,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="override model config file")
     p.add_argument("--ablation", choices=ABLATIONS, default="none")
-    p.add_argument("--npos", type=int, default=0, help="override positive memory slots")
-    p.add_argument("--nneg", type=int, default=0, help="override negative memory slots")
+    p.add_argument("--npos", type=int, help="override positive memory slots")
+    p.add_argument("--nneg", type=int, help="override negative memory slots")
     p.set_defaults(fn=cmd_track)
 
     p = sub.add_parser("eval", help="score tracking results against ground truth")

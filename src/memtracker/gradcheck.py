@@ -158,7 +158,7 @@ def composed_model_check(seeds, h=1e-5, coords_per_tensor=3):
         params = init_params(cfg, int(seed), dtype=np.float64)
         rng = np.random.default_rng(int(seed) + 999)
         frame0 = rng.uniform(0.0, 1.0, (48, 48, 3))
-        frame1 = rng.uniform(0.0, 1.0, (48, 48, 3))
+        frame1 = tracker.prepare_frame(rng.uniform(0.0, 1.0, (48, 48, 3)), np.float64)
         box = tracker.BoundingBox(cx=24.0, cy=24.0, w=12.0, h=12.0)
         n, c = cfg.net.template_size, cfg.net.channels
         neg_slots = rng.standard_normal((cfg.n_neg, n, n, c)) * 0.2

@@ -29,6 +29,13 @@ class SynthConfig:
     distractors: int = 0
     speed: float = 14.0       # motion amplitude in pixels
 
+    def __post_init__(self):
+        for name, low in (("canvas", 1), ("frames", 1), ("num_classes", 1), ("distractors", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not self.target_size > 0:
+            raise ValueError(f"target_size must be positive, got {self.target_size}")
+
 
 @dataclass
 class SynthVideo:

@@ -83,25 +83,53 @@ def search_roi(box: BoundingBox, cfg: ModelConfig):
     return cx, cy, side * cfg.search_ratio
 
 
-def crop_resize(frame, cx, cy, side, out_size):
-    """Bilinear crop of a square region to out_size; outside pixels take the
-    frame's mean color."""
+def prepare_frame(frame, dtype):
+    """A frame as every crop of it reads it: a channels-first (3, H+2, W+2)
+    array of `dtype` with a one-pixel border of the frame's mean colour, so a
+    tap clipped into the border reads the fill. A gray (H,W) frame is
+    repeated into 3 channels and a uint8 frame is scaled to [0,1] as
+    `ppm.read_ppm` scales it. Any other layout, or a NaN or infinite pixel,
+    raises ValueError, so a bad frame cannot reach the memories."""
+    frame = np.asarray(frame)
+    if frame.dtype == np.uint8:
+        frame = frame.astype(np.float32) / 255.0
+    if frame.ndim == 2:
+        frame = np.repeat(frame[:, :, None], 3, axis=2)
+    if frame.ndim != 3 or frame.shape[2] != 3:
+        raise ValueError(f"expected an (H,W) or (H,W,3) frame, got shape {frame.shape}")
+    frame = np.asarray(frame, dtype=dtype)
+    if not np.isfinite(frame).all():
+        raise ValueError("frame has NaN or infinite pixels")
+    H, W, C = frame.shape
+    fill = frame.reshape(-1, C).mean(axis=0)[:, None]
+    prepared = np.empty((C, H + 2, W + 2), dtype=frame.dtype)
+    prepared[:, 1:-1, 1:-1] = frame.transpose(2, 0, 1)
+    prepared[:, 0] = prepared[:, -1] = prepared[:, :, 0] = prepared[:, :, -1] = fill
+    return prepared
+
+
+def crop_resize(prepared, cx, cy, side, out_size):
+    """Bilinear crop of a square region of a `prepare_frame` frame, resized
+    to an (out_size, out_size, 3) view; outside pixels take the frame's mean
+    colour. Only the padded rows between the first and the last y tap are
+    read."""
     if side <= 0 or out_size <= 0:
         raise ValueError(f"degenerate crop: side={side}, out={out_size}")
-    frame = np.asarray(frame)
-    H, W, C = frame.shape
-    # a one-pixel border of the mean colour: a tap clipped into it reads the fill
-    padded = np.full((H + 2, W + 2, C), frame.reshape(-1, C).mean(axis=0))
-    padded[1:-1, 1:-1] = frame
+    _, Hp, Wp = prepared.shape
     # sample positions along y (row 0) and x (row 1), their two taps into the
     # padded frame and the second tap's weight
     s = (np.array([[cy - side / 2.0], [cx - side / 2.0]])
          + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5)
     i = np.floor(s).astype(np.int64)
-    (y0, x0), (y1, x1) = np.clip([i + 1, i + 2], 0, [[H + 1], [W + 1]])
-    wy, wx = (s - i).astype(frame.dtype)
-    rows = padded[:, x0] * (1 - wx[:, None]) + padded[:, x1] * wx[:, None]
-    return (rows[y0] * (1 - wy[:, None, None]) + rows[y1] * wy[:, None, None]).astype(frame.dtype)
+    (y0, x0), (y1, x1) = np.clip([i + 1, i + 2], 0, [[Hp - 1], [Wp - 1]])
+    wy, wx = (s - i).astype(prepared.dtype)
+    # the taps rise with the output row: the band of rows read starts at y0[0]
+    # and ends at y1[-1]
+    lo = y0[0]
+    band = prepared[:, lo:y1[-1] + 1]
+    rows = band[:, :, x0] * (1 - wx) + band[:, :, x1] * wx
+    out = rows[:, y0 - lo] * (1 - wy[:, None]) + rows[:, y1 - lo] * wy[:, None]
+    return out.transpose(1, 2, 0)
 
 
 def cosine_window(size):
@@ -126,31 +154,12 @@ def choose_peak(maps, window_weight):
     return int(s), p, q
 
 
-def _as_frame(frame, dtype):
-    """A frame as an (H,W,3) array of `dtype`: a gray (H,W) frame is repeated
-    into 3 channels and a uint8 frame is scaled to [0,1] as `ppm.read_ppm`
-    scales it. Any other layout, or a NaN or infinite pixel, raises
-    ValueError, so a bad frame cannot reach the memories."""
-    frame = np.asarray(frame)
-    if frame.dtype == np.uint8:
-        frame = frame.astype(np.float32) / 255.0
-    if frame.ndim == 2:
-        frame = np.repeat(frame[:, :, None], 3, axis=2)
-    if frame.ndim != 3 or frame.shape[2] != 3:
-        raise ValueError(f"expected an (H,W) or (H,W,3) frame, got shape {frame.shape}")
-    frame = np.asarray(frame, dtype=dtype)
-    if not np.isfinite(frame).all():
-        raise ValueError("frame has NaN or infinite pixels")
-    return frame
-
-
-def crop_features(frame, cx, cy, side, size, params, cfg: ModelConfig):
-    """Features of the square crop of `side` px centred on (cx, cy), resized
-    to `size` px. Every crop the tracker, the trainer and the gradient check
-    take comes through here, so all of them see frames as `_as_frame` makes
-    them."""
-    patch = crop_resize(_as_frame(frame, params["featnet/conv0_w"].data.dtype), cx, cy, side, size)
-    return featnet.extract_features(Tensor(patch), params, cfg.net)
+def crop_features(prepared, cx, cy, side, size, params, cfg: ModelConfig):
+    """Features of the square crop of `side` px centred on (cx, cy) of a
+    `prepare_frame` frame, resized to `size` px. Every crop the tracker, the
+    trainer and the gradient check take comes through here, from a frame
+    each of them prepares once."""
+    return featnet.extract_features(Tensor(crop_resize(prepared, cx, cy, side, size)), params, cfg.net)
 
 
 def cell_offset(cell, side, cfg: ModelConfig):
@@ -167,9 +176,9 @@ def offset_cell(offset, side, cfg: ModelConfig):
     return center + offset / (cfg.net.feature_stride * (side / cfg.net.search_size))
 
 
-def extract_template(frame, box, params, cfg: ModelConfig):
+def extract_template(prepared, box, params, cfg: ModelConfig):
     cx, cy, side = object_roi(box, cfg.context_factor)
-    return crop_features(frame, cx, cy, side, cfg.net.object_size, params, cfg)
+    return crop_features(prepared, cx, cy, side, cfg.net.object_size, params, cfg)
 
 
 def init(frame, box: BoundingBox, params, cfg: ModelConfig, ablation="none"):
@@ -182,7 +191,8 @@ def init(frame, box: BoundingBox, params, cfg: ModelConfig, ablation="none"):
     """
     if ablation not in VARIANTS:
         raise ValueError(f"unknown ablation {ablation!r}; choose from {ABLATIONS}")
-    t0 = extract_template(frame, box, params, cfg)
+    prepared = prepare_frame(frame, params["featnet/conv0_w"].data.dtype)
+    t0 = extract_template(prepared, box, params, cfg)
     H, W = np.shape(frame)[:2]
     x, y, w, h = box.to_topleft()
     if x >= W or y >= H or x + w <= 0 or y + h <= 0:
@@ -267,12 +277,13 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
     """
     if not isinstance(state, TrackState):
         raise RuntimeError("tracker state not initialized; call init() first")
+    prepared = prepare_frame(frame, params["featnet/conv0_w"].data.dtype)
     box = state.box
     cx, cy, base_side = search_roi(box, cfg)
     scales = cfg.scale_factors
     mid = len(scales) // 2
     sides = [base_side * s for s in scales]
-    feats = [crop_features(frame, cx, cy, side, cfg.net.search_size, params, cfg) for side in sides]
+    feats = [crop_features(prepared, cx, cy, side, cfg.net.search_size, params, cfg) for side in sides]
     read = frame_forward(state, feats[mid], params, cfg)
     responses = [tmpl.response(f, read.template) for f in feats]
 
@@ -292,7 +303,7 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
             "write_gates": None if read.signals is None else read.signals.write_gates.data.copy()}
     new_state = replace(state, box=new_box, h=read.h, c=read.c, diagnostics=diag)
     if VARIANTS[state.ablation].adapt and not state.pin_gates:
-        new_template = extract_template(frame, new_box, params, cfg)
+        new_template = extract_template(prepared, new_box, params, cfg)
         new_state.pos_mem, new_state.neg_mem = write_memories(
             state, read, new_template, responses[s_star].data, feats[s_star], cfg)
     return new_state, new_box

@@ -141,6 +141,7 @@ def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig
     """Summed per-step loss of a teacher-forced unroll over one clip. Frames
     may take any layout `tracker.step` accepts, gray and uint8 included."""
     state = tracker.init(frames[0], boxes[0], params, cfg)
+    dtype = params["featnet/conv0_w"].data.dtype
     P = cfg.response_size
     total = None
     for t in range(1, len(frames)):
@@ -149,7 +150,8 @@ def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig
             cx += rng.uniform(-AUG_TRANSLATE, AUG_TRANSLATE)
             cy += rng.uniform(-AUG_TRANSLATE, AUG_TRANSLATE)
             side *= 1.0 + rng.uniform(-AUG_STRETCH, AUG_STRETCH)
-        feats = tracker.crop_features(frames[t], cx, cy, side, cfg.net.search_size, params, cfg)
+        prepared = tracker.prepare_frame(frames[t], dtype)
+        feats = tracker.crop_features(prepared, cx, cy, side, cfg.net.search_size, params, cfg)
         read = tracker.frame_forward(state, feats, params, cfg, mode=mode, rng=rng)
         response = tmpl.response(feats, read.template)
         logits = centered_logits(response)
@@ -159,7 +161,7 @@ def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig
         row, col = min(max(row, 0.0), P - 1.0), min(max(col, 0.0), P - 1.0)
         label = gt_response((row, col), P, tc.radius)
 
-        new_template = tracker.extract_template(frames[t], boxes[t], params, cfg)
+        new_template = tracker.extract_template(prepared, boxes[t], params, cfg)
         probs = featnet.classify_object(new_template, params, cfg.net) if tc.kappa else None
         step_loss = total_loss(logits, label, probs, class_id, kappa=tc.kappa)
         total = step_loss if total is None else ad.add(total, step_loss)

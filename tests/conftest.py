@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from memtracker import tracker
 from memtracker.model import desk_config, init_params, micro_config
 
 
@@ -22,3 +23,23 @@ def micro_cfg():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def prepared_frames(monkeypatch):
+    """Every frame `prepare_frame` is given and every prepared frame a crop
+    reads, in call order."""
+    seen = {"given": [], "cropped": []}
+    prepare, crop = tracker.prepare_frame, tracker.crop_resize
+
+    def counting_prepare(frame, dtype):
+        seen["given"].append(frame)
+        return prepare(frame, dtype)
+
+    def counting_crop(prepared, *args):
+        seen["cropped"].append(prepared)
+        return crop(prepared, *args)
+
+    monkeypatch.setattr(tracker, "prepare_frame", counting_prepare)
+    monkeypatch.setattr(tracker, "crop_resize", counting_crop)
+    return seen

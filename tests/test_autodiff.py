@@ -101,6 +101,31 @@ def test_avg_pool_window_too_large():
         ad.avg_pool(t64(np.zeros((3, 3, 1))), 4, 1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,stride", [(2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("shape", [(8, 8, 32), (9, 7, 5), (12, 13, 2)])
+def test_avg_pool_matches_window_mean(rng, dtype, n, stride, shape):
+    x = rng.standard_normal(shape).astype(dtype)
+    mean = ad._windows(x, n, n, stride, "oracle").mean(axis=(2, 3))
+    got = ad.avg_pool(Tensor(x), n, stride).data
+    assert got.dtype == mean.dtype and got.tobytes() == mean.tobytes()
+    # NaN, +-inf and -0 pixels: the same values as the mean, NaN wherever a
+    # window holds a NaN or both infinities, and -0 for a window of only -0
+    # (the IEEE sum; numpy's mean starts some windows from +0)
+    pick = rng.random(shape)
+    for value, lo, hi in ((np.nan, 0.0, 0.03), (np.inf, 0.03, 0.08), (-np.inf, 0.08, 0.13), (-0.0, 0.13, 0.5)):
+        x[(pick >= lo) & (pick < hi)] = value
+    x[:n, :n] = -0.0
+    with np.errstate(invalid="ignore"):
+        mean = ad._windows(x, n, n, stride, "oracle").mean(axis=(2, 3))
+        got = ad.avg_pool(Tensor(x), n, stride).data
+    assert np.isnan(got).any() and np.isinf(got).any()
+    np.testing.assert_array_equal(got, mean)  # exact, NaN matching NaN and -0 matching +0
+    minus_zero = np.signbit(x) & (x == 0)
+    windows = ad._windows(minus_zero, n, n, stride, "oracle").all(axis=(2, 3))
+    assert windows.any() and np.signbit(got[windows]).all()
+
+
 def test_avg_pool_output_extent(rng):
     m = t64(rng.standard_normal((9, 9, 2)))
     out = ad.avg_pool(m, 3, 2)

@@ -161,6 +161,15 @@ def test_train_impossible_schedule_is_clean_error(tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--frames", "0"), ("--canvas", "0"), ("--classes", "0"),
+                                        ("--size", "0"), ("--distractors", "-1")])
+def test_synth_impossible_config_is_clean_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "seqs"
+    assert run(["synth", "--out", str(out), "--num", "1", "--frames", "3", flag, value]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_on_data_without_sequences_is_clean_error(tmp_path):
     data = tmp_path / "empty"
     data.mkdir()
@@ -219,6 +228,14 @@ def test_track_with_fewer_negative_slots_than_distractors_is_clean_error(trained
     ckpt, seq = trained
     out = tmp_path / "r.txt"
     assert run(["track", "--ckpt", str(ckpt), "--seq", str(seq), "--out", str(out), "--nneg", "1"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--npos", "0"], ["--nneg", "0"], ["--npos", "0", "--nneg", "0"]])
+def test_track_with_zero_memory_slots_is_clean_error(trained, tmp_path, flags):
+    ckpt, seq = trained
+    out = tmp_path / "r.txt"
+    assert run(["track", "--ckpt", str(ckpt), "--seq", str(seq), "--out", str(out), *flags]) == 2
     assert not out.exists()
 
 

@@ -2,6 +2,9 @@
 config file format and initial parameter bits."""
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +22,14 @@ def _unroll(video, params, cfg):
     state = tracker.init(video.frames[0], video.boxes[0], params, cfg)
     maps = []
     for t in (1, 2):
+        prepared = tracker.prepare_frame(video.frames[t], params["featnet/conv0_w"].data.dtype)
         cx, cy, side = tracker.search_roi(video.boxes[t - 1], cfg)
-        patch = tracker.crop_resize(video.frames[t], cx, cy, side, cfg.net.search_size)
+        patch = tracker.crop_resize(prepared, cx, cy, side, cfg.net.search_size)
         feats = featnet.extract_features(Tensor(patch), params, cfg.net)
         read = tracker.frame_forward(state, feats, params, cfg)
         response = template.response(feats, read.template)
         maps.append(response.data.copy())
-        new_template = tracker.extract_template(video.frames[t], video.boxes[t], params, cfg)
+        new_template = tracker.extract_template(prepared, video.boxes[t], params, cfg)
         state.pos_mem, state.neg_mem = tracker.write_memories(
             state, read, new_template, response.data, feats, cfg)
         state.h, state.c = read.h, read.c
@@ -39,6 +43,23 @@ def test_frame_forward_same_numbers_with_and_without_graph(desk_cfg, desk_params
         untaped = _unroll(video, desk_params, desk_cfg)
     for a, b in zip(recorded, untaped):
         assert np.array_equal(a, b)
+
+
+# `experiments/exactness.py`'s crop digest from when every crop converted the
+# frame and padded it with its mean colour itself
+CROP_DIGEST = "506bed1bed5f60cabd2276ba8fcdac966dc2035d0cc16d190f6c8073501ed59b"
+
+
+def test_exactness_crop_cases_keep_their_digest(monkeypatch):
+    # the script pins BLAS to one thread on import; keep that to this test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = Path(__file__).resolve().parents[1] / "experiments" / "exactness.py"
+    spec = importlib.util.spec_from_file_location("exactness", script)
+    exactness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(exactness)
+    assert dict(exactness.crops()) == {"crop": CROP_DIGEST}
 
 
 # written by `memtracker train` before the config mapping was derived from

@@ -110,3 +110,11 @@ def test_shape_masks_vanish_beyond_the_render_reach(shape, size, beyond, across,
     other = np.array(across)[None, :] * reach
     assert not synth._shape_mask(shape, far, other, size).any()
     assert not synth._shape_mask(shape, other.T, far.T, size).any()
+
+
+@pytest.mark.parametrize("field,value", [("frames", 0), ("canvas", 0), ("num_classes", 0),
+                                         ("target_size", 0.0), ("target_size", -3.0),
+                                         ("target_size", float("nan")), ("distractors", -1)])
+def test_config_rejects_impossible_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        synth.SynthConfig(**{field: value})

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,13 +88,14 @@ def _bilinear_oracle(frame, cx, cy, side, out):
 
 def test_crop_identity(rng):
     frame = rng.random((16, 16, 3), dtype=np.float32)
-    out = tracker.crop_resize(frame, 8.0, 8.0, 16.0, 16)
+    out = tracker.crop_resize(tracker.prepare_frame(frame, frame.dtype), 8.0, 8.0, 16.0, 16)
     np.testing.assert_allclose(out, frame, atol=1e-6)
 
 
 def test_crop_constant_frame_with_padding():
     frame = np.full((10, 10, 3), 0.6, dtype=np.float32)
-    out = tracker.crop_resize(frame, 0.0, 0.0, 12.0, 8)  # mostly out of frame
+    prepared = tracker.prepare_frame(frame, frame.dtype)
+    out = tracker.crop_resize(prepared, 0.0, 0.0, 12.0, 8)  # mostly out of frame
     np.testing.assert_allclose(out, 0.6, atol=1e-6)
 
 
@@ -102,7 +105,7 @@ def test_crop_matches_bilinear_oracle(rng):
     ii, jj = np.meshgrid(np.arange(20), np.arange(20), indexing="ij")
     frame[(ii + jj) % 2 == 0] *= 0.2
     for (cx, cy, side, out) in [(10.0, 10.0, 20.0, 10), (6.5, 8.25, 9.0, 7), (2.0, 18.0, 12.0, 6)]:
-        got = tracker.crop_resize(frame, cx, cy, side, out)
+        got = tracker.crop_resize(tracker.prepare_frame(frame, frame.dtype), cx, cy, side, out)
         expect = _bilinear_oracle(frame, cx, cy, side, out)
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
@@ -115,14 +118,63 @@ def test_crop_matches_masked_gather_oracle_bit_for_bit(rng, dtype):
         cx, cy = rng.uniform(-40.0, W + 40.0), rng.uniform(-40.0, H + 40.0)  # often off the frame
         side = rng.uniform(0.05, 1.0) if k % 5 == 0 else rng.uniform(1.0, 120.0)
         out = 1 if k % 7 == 0 else int(rng.integers(2, 50))
-        got = tracker.crop_resize(frame, cx, cy, side, out)
+        got = tracker.crop_resize(tracker.prepare_frame(frame, dtype), cx, cy, side, out)
         expect = oracle_crop_resize(frame, cx, cy, side, out)
         assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), (H, W, cx, cy, side, out)
 
 
+def test_crop_reads_only_the_rows_between_its_first_and_last_tap(rng):
+    frame = rng.random((40, 30, 3))
+    prepared = tracker.prepare_frame(frame, np.float64)
+    for cx, cy, side, out in [(15.0, 20.0, 8.0, 6), (15.0, 5.0, 10.0, 12), (3.0, 36.0, 6.5, 5),
+                              (15.0, 20.0, 0.3, 1)]:
+        ys = (cy - side / 2.0) + (np.arange(out) + 0.5) * (side / out) - 0.5
+        first, last = int(np.floor(ys[0])) + 1, int(np.floor(ys[-1])) + 2  # padded rows
+        poisoned = prepared.copy()
+        poisoned[:, :first] = np.nan
+        poisoned[:, last + 1:] = np.nan
+        assert np.isnan(poisoned).any()
+        got = tracker.crop_resize(poisoned, cx, cy, side, out)
+        assert got.tobytes() == tracker.crop_resize(prepared, cx, cy, side, out).tobytes()
+
+
+def test_prepare_frame_pads_a_channels_first_copy_with_the_mean_colour(rng):
+    frame = rng.random((7, 5, 3), dtype=np.float32)
+    prepared = tracker.prepare_frame(frame, np.float32)
+    assert prepared.shape == (3, 9, 7) and prepared.dtype == np.float32
+    assert np.array_equal(prepared[:, 1:-1, 1:-1], frame.transpose(2, 0, 1))
+    fill = frame.reshape(-1, 3).mean(axis=0)
+    border = np.ones((9, 7), dtype=bool)
+    border[1:-1, 1:-1] = False
+    assert np.array_equal(prepared[:, border], np.repeat(fill[:, None], border.sum(), axis=1))
+
+
+def test_prepare_frame_converts_gray_and_uint8_frames(rng):
+    gray = rng.random((6, 8))
+    assert np.array_equal(tracker.prepare_frame(gray, np.float64),
+                          tracker.prepare_frame(np.repeat(gray[:, :, None], 3, axis=2), np.float64))
+    raw = rng.integers(0, 256, (6, 8, 3)).astype(np.uint8)
+    assert np.array_equal(tracker.prepare_frame(raw, np.float32),
+                          tracker.prepare_frame(raw.astype(np.float32) / 255.0, np.float32))
+
+
+@pytest.mark.parametrize("shape", [(6, 8, 4), (6, 8, 1), (6,), (2, 6, 8, 3)])
+def test_prepare_frame_rejects_other_layouts(shape):
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        tracker.prepare_frame(np.zeros(shape), np.float32)
+
+
+@pytest.mark.parametrize("bad_pixel", [np.nan, np.inf, -np.inf])
+def test_prepare_frame_rejects_non_finite_pixels(rng, bad_pixel):
+    frame = rng.random((6, 8, 3))
+    frame[2, 3, 1] = bad_pixel
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        tracker.prepare_frame(frame, np.float32)
+
+
 def test_crop_degenerate_roi_rejected(rng):
     with pytest.raises(ValueError):
-        tracker.crop_resize(rng.random((8, 8, 3)), 4.0, 4.0, 0.0, 8)
+        tracker.crop_resize(tracker.prepare_frame(rng.random((8, 8, 3)), np.float64), 4.0, 4.0, 0.0, 8)
 
 
 # --- scale choice --------------------------------------------------------------
@@ -194,7 +246,8 @@ def test_init_read_dominated_by_seeded_slot(desk_cfg, desk_params, rng):
 def test_init_template_matches_feature_extraction(desk_cfg, desk_params):
     v = _video()
     state = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg)
-    again = tracker.extract_template(v.frames[0], v.boxes[0], desk_params, desk_cfg)
+    prepared = tracker.prepare_frame(v.frames[0], desk_params["featnet/conv0_w"].data.dtype)
+    again = tracker.extract_template(prepared, v.boxes[0], desk_params, desk_cfg)
     assert np.array_equal(state.initial_template.data, again.data)
 
 
@@ -329,6 +382,21 @@ def test_static_target_tracked_with_random_weights(desk_cfg, desk_params):
 
 
 # --- frame input ---------------------------------------------------------------
+
+def test_init_and_step_prepare_each_frame_once(desk_cfg, desk_params, prepared_frames):
+    v = _video(frames=3, distractors=1)
+    with ad.no_grad():
+        state = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg)
+        assert [id(f) for f in prepared_frames["given"]] == [id(v.frames[0])]
+        for t in (1, 2):
+            cropped = len(prepared_frames["cropped"])
+            state, _ = tracker.step(state, v.frames[t], desk_params, desk_cfg)
+            # three scales and the memory-write template, all from one prepared frame
+            assert [id(f) for f in prepared_frames["given"]] == [id(f) for f in v.frames[:t + 1]]
+            step_crops = prepared_frames["cropped"][cropped:]
+            assert len(step_crops) == desk_cfg.num_scales + 1
+            assert all(c is step_crops[0] for c in step_crops)
+
 
 def _boxes(boxes):
     return [(b.cx, b.cy, b.w, b.h) for b in boxes]

@@ -325,6 +325,16 @@ def _eval_clip_loss(params, cfg, frames, boxes, class_id):
                                rng=np.random.default_rng(0), mode="eval").item()
 
 
+def test_clip_loss_prepares_each_frame_once(desk_cfg, desk_params, prepared_frames):
+    v = synth.generate(5, synth.SynthConfig(frames=4, distractors=1))
+    _eval_clip_loss(desk_params, desk_cfg, v.frames, v.boxes, v.class_id)
+    assert [id(f) for f in prepared_frames["given"]] == [id(f) for f in v.frames]
+    cropped = prepared_frames["cropped"]
+    # the first frame's template, then each later frame's search and template crops
+    assert len(cropped) == 1 + 2 * (len(v.frames) - 1)
+    assert all(cropped[i] is cropped[i + 1] for i in range(1, len(cropped), 2))
+
+
 def test_uint8_clip_loss_matches_scaled_frames(desk_cfg, desk_params):
     v = synth.generate(5, synth.SynthConfig(frames=4, distractors=1))
     as_u8 = [(np.clip(f, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8) for f in v.frames]
