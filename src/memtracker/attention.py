@@ -7,61 +7,49 @@ the softmax-weighted sum becomes the controller input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .featnet import glorot
-
-
-@dataclass
-class PatchBank:
-    vectors: Tensor  # (L, C), row-major over the patch grid
-    window: int
-    stride: int
-    grid: int  # patches per side, L = grid * grid
-
-    @property
-    def count(self):
-        return self.vectors.data.shape[0]
 
 
 def pool_patches(feature_map, window, stride=1):
-    """Average-pool every window-sized patch of the map into one C-vector."""
+    """Average-pool every window-sized patch of the map into one C-vector:
+    the (L, C) patch vectors, row-major over the patch grid."""
     pooled = ad.avg_pool(feature_map, window, stride)  # (g, g, C)
     g, _, c = pooled.data.shape
-    return PatchBank(vectors=ad.reshape(pooled, (g * g, c)), window=window, stride=stride, grid=g)
+    return ad.reshape(pooled, (g * g, c))
 
 
-def attention_scores(h_prev, bank: PatchBank, params):
+def attention_scores(h_prev, patches, params):
     """One scalar per patch: wa . tanh(Wh h_prev + Wf f_i + b)."""
     state = ad.add(ad.matmul(params["attn/wh"], h_prev), params["attn/b"])  # (A,)
-    pre = ad.add(ad.matmul(bank.vectors, ad.transpose(params["attn/wf"])), state)  # (L, A)
+    pre = ad.add(ad.matmul(patches, ad.transpose(params["attn/wf"])), state)  # (L, A)
     wa = ad.reshape(params["attn/wa"], (params["attn/wa"].data.shape[1],))
     return ad.matmul(ad.tanh(pre), wa)
 
 
-def attended_vector(scores, bank: PatchBank):
+def attended_vector(scores, patches):
     """Softmax-weighted sum of the patch vectors; also returns the weights."""
-    if scores.data.shape[0] != bank.count:
-        raise ValueError(f"{scores.data.shape[0]} scores for {bank.count} patches")
+    count = patches.data.shape[0]
+    if scores.data.shape[0] != count:
+        raise ValueError(f"{scores.data.shape[0]} scores for {count} patches")
     alpha = ad.softmax(scores)
-    return ad.matmul(alpha, bank.vectors), alpha
+    return ad.matmul(alpha, patches), alpha
 
 
-def uniform_attended_vector(bank: PatchBank):
+def uniform_attended_vector(patches):
     """Plain mean over the patch vectors (attention-disabled variant)."""
-    w = np.full(bank.count, 1.0 / bank.count, dtype=bank.vectors.data.dtype)
-    return ad.tmean(bank.vectors, axis=0), Tensor(w)
+    count = patches.data.shape[0]
+    w = np.full(count, 1.0 / count, dtype=patches.data.dtype)
+    return ad.tmean(patches, axis=0), Tensor(w)
 
 
-def init_attention(hidden, channels, attn_size, seed, dtype=np.float32):
-    rng = np.random.default_rng(seed)
+def param_table(hidden, channels, attn_size):
+    """`name -> (shape, fill)` of the 'attn/...' parameters (`fill=None` is a Glorot draw)."""
     return {
-        "attn/wa": glorot(rng, (1, attn_size), attn_size, 1, dtype),
-        "attn/wh": glorot(rng, (attn_size, hidden), hidden, attn_size, dtype),
-        "attn/wf": glorot(rng, (attn_size, channels), channels, attn_size, dtype),
-        "attn/b": Tensor(np.zeros(attn_size, dtype=dtype), requires_grad=True),
+        "attn/wa": ((1, attn_size), None),
+        "attn/wh": ((attn_size, hidden), None),
+        "attn/wf": ((attn_size, channels), None),
+        "attn/b": ((attn_size,), 0.0),
     }

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import evaluate, gradcheck, synth, tracker, train
-from .model import ABLATIONS, config_from_dict, config_to_dict, desk_config, init_params
+from .model import ABLATIONS, config_from_dict, config_to_dict, desk_config, param_tables
 from .ppm import read_ppm
 
 # config fields whose flags keep their older, shorter names
@@ -84,13 +84,18 @@ def cmd_track(args):
     overrides = {"n_pos": args.npos, "n_neg": args.nneg}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     params = ckpt.load_checkpoint(args.ckpt)
-    want = {k: v.data.shape for k, v in init_params(cfg, 0).items()}
+    want = {k: shape for table in param_tables(cfg) for k, (shape, _) in table.items()}
     have = {k: v.data.shape for k, v in params.items()}
     bad = next((k for k in [*want, *have] if want.get(k) != have.get(k)), None)
     if bad is not None:
         raise ValueError(f"{args.ckpt} does not fit {cfg_path}: tensor {bad!r} is "
                          f"{have.get(bad, 'absent')} in the checkpoint but {want.get(bad, 'absent')} "
                          "in the config")
+    # min and max carry any NaN or infinity without a full-size mask
+    bad = next((k for k, v in params.items()
+                if not np.isfinite([v.data.min(initial=0.0), v.data.max(initial=0.0)]).all()), None)
+    if bad is not None:
+        raise ValueError(f"{args.ckpt}: tensor {bad!r} holds non-finite values")
     record = evaluate.load_sequence(args.seq)
     t0 = time.time()
     boxes = tracker.track_sequence(record.frame_paths, record.boxes[0], params, cfg,

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from . import memory as mem
 from .autodiff import Tensor
-from .featnet import glorot
 
 GATES = ("i", "f", "o", "n")  # input, forget, output, candidate
 
@@ -29,26 +26,24 @@ class ControlSignals:
     decay_rate: Tensor     # (1,), in (0,1)
 
 
-def init_controller(hidden, channels, seed, dtype=np.float32):
-    """Parameter dict keyed 'ctrl/...'; forget-gate norm bias starts at 1."""
-    rng = np.random.default_rng(seed)
-    p = {}
+def param_table(hidden, channels):
+    """`name -> (shape, fill)` of the 'ctrl/...' parameters in checkpoint
+    order (`fill=None` is a Glorot draw); the forget-gate norm bias starts at 1."""
+    t = {}
     for g in GATES:
-        p[f"ctrl/wx_{g}"] = glorot(rng, (hidden, channels), channels, hidden, dtype)
-        p[f"ctrl/wh_{g}"] = glorot(rng, (hidden, hidden), hidden, hidden, dtype)
-        p[f"ctrl/ln_{g}_gain"] = Tensor(np.ones(hidden, dtype=dtype), requires_grad=True)
-        bias = np.ones(hidden, dtype=dtype) if g == "f" else np.zeros(hidden, dtype=dtype)
-        p[f"ctrl/ln_{g}_bias"] = Tensor(bias, requires_grad=True)
+        t[f"ctrl/wx_{g}"] = ((hidden, channels), None)
+        t[f"ctrl/wh_{g}"] = ((hidden, hidden), None)
+        t[f"ctrl/ln_{g}_gain"] = ((hidden,), 1.0)
+        t[f"ctrl/ln_{g}_bias"] = ((hidden,), 1.0 if g == "f" else 0.0)
     heads = {"key": channels, "beta": 1, "res": channels, "gates": 3, "decay": 1}
     for name, width in heads.items():
-        p[f"ctrl/w_{name}"] = glorot(rng, (width, hidden), hidden, width, dtype)
-        p[f"ctrl/b_{name}"] = Tensor(np.zeros(width, dtype=dtype), requires_grad=True)
+        t[f"ctrl/w_{name}"] = ((width, hidden), None)
+        t[f"ctrl/b_{name}"] = ((width,), 0.0)
     # initial-state maps from the pooled initial template
-    p["ctrl/w_h0"] = glorot(rng, (hidden, channels), channels, hidden, dtype)
-    p["ctrl/b_h0"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-    p["ctrl/w_c0"] = glorot(rng, (hidden, channels), channels, hidden, dtype)
-    p["ctrl/b_c0"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-    return p
+    for name in ("h0", "c0"):
+        t[f"ctrl/w_{name}"] = ((hidden, channels), None)
+        t[f"ctrl/b_{name}"] = ((hidden,), 0.0)
+    return t
 
 
 def init_state(template, params):

@@ -85,27 +85,23 @@ def glorot(rng, shape, fan_in, fan_out, dtype):
     return Tensor(w, requires_grad=True)
 
 
-def init_feature_net(cfg: FeatureNetConfig, seed, dtype=np.float32):
-    """Deterministic parameter dict keyed by 'featnet/...' names."""
+def param_table(cfg: FeatureNetConfig):
+    """`name -> (shape, fill)` of the conv layers and the classifier head, in
+    checkpoint order; `fill=None` is a Glorot draw, a number a constant."""
     if cfg.template_size < 1 or cfg.search_out < cfg.template_size:
         raise ValueError("config produces degenerate feature shapes")
-    rng = np.random.default_rng(seed)
-    params = {}
+    table = {}
     cin = 3
     for i, ly in enumerate(cfg.layers):
-        shape = (ly.kernel, ly.kernel, cin, ly.channels)
-        fan_in = ly.kernel * ly.kernel * cin
-        fan_out = ly.kernel * ly.kernel * ly.channels
-        params[f"featnet/conv{i}_w"] = glorot(rng, shape, fan_in, fan_out, dtype)
-        params[f"featnet/conv{i}_b"] = Tensor(np.zeros(ly.channels, dtype=dtype), requires_grad=True)
+        table[f"featnet/conv{i}_w"] = ((ly.kernel, ly.kernel, cin, ly.channels), None)
+        table[f"featnet/conv{i}_b"] = ((ly.channels,), 0.0)
         cin = ly.channels
     n, c = cfg.template_size, cfg.channels
-    flat = n * n * c
-    params["featnet/cls_w1"] = glorot(rng, (cfg.cls_hidden, flat), flat, cfg.cls_hidden, dtype)
-    params["featnet/cls_b1"] = Tensor(np.zeros(cfg.cls_hidden, dtype=dtype), requires_grad=True)
-    params["featnet/cls_w2"] = glorot(rng, (cfg.num_classes, cfg.cls_hidden), cfg.cls_hidden, cfg.num_classes, dtype)
-    params["featnet/cls_b2"] = Tensor(np.zeros(cfg.num_classes, dtype=dtype), requires_grad=True)
-    return params
+    table["featnet/cls_w1"] = ((cfg.cls_hidden, n * n * c), None)
+    table["featnet/cls_b1"] = ((cfg.cls_hidden,), 0.0)
+    table["featnet/cls_w2"] = ((cfg.num_classes, cfg.cls_hidden), None)
+    table["featnet/cls_b2"] = ((cfg.num_classes,), 0.0)
+    return table
 
 
 def extract_features(patch, params, cfg: FeatureNetConfig):
@@ -143,15 +139,3 @@ def classify_object(template, params, cfg: FeatureNetConfig):
     logits = ad.dense_affine(hidden, params["featnet/cls_w2"], params["featnet/cls_b2"])
     return ad.softmax(logits)
 
-
-def param_count(cfg: FeatureNetConfig, include_head=False):
-    total = 0
-    cin = 3
-    for ly in cfg.layers:
-        total += ly.kernel * ly.kernel * cin * ly.channels + ly.channels
-        cin = ly.channels
-    if include_head:
-        flat = cfg.template_size ** 2 * cfg.channels
-        total += cfg.cls_hidden * flat + cfg.cls_hidden
-        total += cfg.num_classes * cfg.cls_hidden + cfg.num_classes
-    return total

@@ -13,6 +13,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import attention, controller, featnet, template
+from .autodiff import Tensor
 from .featnet import ConvLayer, FeatureNetConfig
 
 
@@ -58,11 +59,22 @@ class ModelConfig:
     patch_stride: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         # a queue memory's least-accessed slot is its oldest only for a decay in (0, 1]
-        if not 0.0 < self.mem_decay <= 1.0:
-            raise ValueError(f"mem_decay must be in (0, 1], got {self.mem_decay}")
+        for name, ok, rule in (("mem_decay", 0.0 < self.mem_decay <= 1.0, "in (0, 1]"),
+                               ("scale_step", self.scale_step > 0.0, "positive"),
+                               ("window_weight", 0.0 <= self.window_weight <= 1.0, "in [0, 1]"),
+                               ("scale_smooth", 0.0 <= self.scale_smooth <= 1.0, "in [0, 1]"),
+                               ("dropout_keep", 0.0 < self.dropout_keep <= 1.0, "in (0, 1]"),
+                               ("context_factor", self.context_factor >= 0.0, "at least 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
         # every distractor a frame yields takes a negative slot
-        for name, low in (("n_pos", 1), ("num_scales", 1), ("top_k", 0), ("n_neg", max(self.top_k, 1))):
+        for name, low in (("n_pos", 1), ("num_scales", 1), ("top_k", 0), ("n_neg", max(self.top_k, 1)),
+                          ("patch_stride", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
@@ -132,15 +144,30 @@ def micro_config(**overrides):
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def param_tables(cfg: ModelConfig):
+    """The `name -> (shape, fill)` tables of the feature net, controller,
+    attention and canceling gate, in checkpoint order."""
+    c = cfg.net.channels
+    return (featnet.param_table(cfg.net), controller.param_table(cfg.hidden, c),
+            attention.param_table(cfg.hidden, c, cfg.attn_size), template.param_table(c))
+
+
 def init_params(cfg: ModelConfig, seed, dtype=np.float32):
-    """Deterministic full parameter dict; same (cfg, seed) gives identical bits."""
-    ss = np.random.SeedSequence(seed)
-    s_net, s_ctrl, s_attn, s_cancel = ss.spawn(4)
+    """Deterministic full parameter dict; same (cfg, seed) gives identical bits.
+
+    Each table draws from its own generator, spawned from `seed`. A dense
+    (out, in) matrix takes the Glorot fans of a 1x1 conv kernel (1, 1, in, out).
+    """
+    tables = param_tables(cfg)
     params = {}
-    params.update(featnet.init_feature_net(cfg.net, s_net, dtype=dtype))
-    params.update(controller.init_controller(cfg.hidden, cfg.net.channels, s_ctrl, dtype=dtype))
-    params.update(attention.init_attention(cfg.hidden, cfg.net.channels, cfg.attn_size, s_attn, dtype=dtype))
-    params.update(template.init_cancel(cfg.net.channels, s_cancel, dtype=dtype))
+    for table, child in zip(tables, np.random.SeedSequence(seed).spawn(len(tables))):
+        rng = np.random.default_rng(child)
+        for name, (shape, fill) in table.items():
+            if fill is None:
+                k, cin, cout = (shape[0], shape[2], shape[3]) if len(shape) == 4 else (1, shape[1], shape[0])
+                params[name] = featnet.glorot(rng, shape, k * k * cin, k * k * cout, dtype)
+            else:
+                params[name] = Tensor(np.full(shape, fill, dtype), requires_grad=True)
     return params
 
 

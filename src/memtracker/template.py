@@ -7,11 +7,7 @@ channel-wise, and the result is correlated against the search features.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
-from .autodiff import Tensor
-from .featnet import glorot
 
 
 def residual_combine(initial, retrieved, residual_gate):
@@ -43,11 +39,11 @@ def response(search_features, final_template):
     return ad.cross_correlate(search_features, final_template)
 
 
-def init_cancel(channels, seed, dtype=np.float32):
-    rng = np.random.default_rng(seed)
+def param_table(channels):
+    """`name -> (shape, fill)` of the canceling gate (`fill=None` is a Glorot draw)."""
     return {
-        "cancel/w_pos": glorot(rng, (channels, channels), channels, channels, dtype),
-        "cancel/w_neg": glorot(rng, (channels, channels), channels, channels, dtype),
-        "cancel/b": Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
-        "cancel/w_out": glorot(rng, (channels, channels), channels, channels, dtype),
+        "cancel/w_pos": ((channels, channels), None),
+        "cancel/w_neg": ((channels, channels), None),
+        "cancel/b": ((channels,), 0.0),
+        "cancel/w_out": ((channels, channels), None),
     }

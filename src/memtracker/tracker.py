@@ -216,12 +216,12 @@ def frame_forward(state: TrackState, search_features, params, cfg: ModelConfig,
     t0 = state.initial_template
     if not v.adapt:
         return FrameRead(template=t0, h=state.h, c=state.c)
-    bank = attn.pool_patches(search_features, cfg.net.template_size, cfg.patch_stride)
+    patches = attn.pool_patches(search_features, cfg.net.template_size, cfg.patch_stride)
     if v.attend:
-        scores = attn.attention_scores(state.h, bank, params)
-        a_t, alpha = attn.attended_vector(scores, bank)
+        scores = attn.attention_scores(state.h, patches, params)
+        a_t, alpha = attn.attended_vector(scores, patches)
     else:
-        a_t, alpha = attn.uniform_attended_vector(bank)
+        a_t, alpha = attn.uniform_attended_vector(patches)
     h, c = ctrl.lstm_step(a_t, state.h, state.c, params, mode=mode,
                           keep_prob=cfg.dropout_keep, rng=rng)
     signals = ctrl.control_signals(h, params)
@@ -307,30 +307,6 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
         new_state.pos_mem, new_state.neg_mem = write_memories(
             state, read, new_template, responses[s_star].data, feats[s_star], cfg)
     return new_state, new_box
-
-
-def dump_state(path, state: TrackState):
-    """Serialize a tracking state for debugging, checkpoint container format.
-
-    Memory slots, keys and access traces, the controller state, the initial
-    template and the box all round-trip through load_checkpoint.
-    """
-    from .checkpoint import save_checkpoint
-
-    tensors = {
-        "state/box": Tensor(np.array([state.box.cx, state.box.cy, state.box.w, state.box.h],
-                                     dtype=np.float64)),
-        "state/h": state.h,
-        "state/c": state.c,
-        "state/initial_template": state.initial_template,
-        "posmem/slots": state.pos_mem.slots,
-        "posmem/keys": state.pos_mem.keys,
-        "posmem/access": Tensor(state.pos_mem.access.astype(np.float64)),
-        "negmem/slots": state.neg_mem.slots,
-        "negmem/keys": state.neg_mem.keys,
-        "negmem/access": Tensor(state.neg_mem.access.astype(np.float64)),
-    }
-    save_checkpoint(path, tensors)
 
 
 def track_sequence(frames, first_box, params, cfg: ModelConfig, ablation="none",

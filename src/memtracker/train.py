@@ -52,10 +52,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
 
-def train_config_to_dict(tc: TrainConfig):
-    return asdict(tc)
-
-
 def train_config_from_dict(entries):
     """A TrainConfig from the entries given; absent fields keep their defaults."""
     entries = {**asdict(TrainConfig()), **entries}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,19 @@ def desk_params(desk_cfg):
 @pytest.fixture(scope="session")
 def micro_cfg():
     return micro_config()
+
+
+@pytest.fixture(scope="session")
+def module_params():
+    """`draw(table, channels, seed=0, **overrides)`: the float64 parameters
+    named in one module's `table`, as `init_params` draws them for
+    `micro_config(**overrides)` with `channels` feature channels."""
+    def draw(table, channels, seed=0, **overrides):
+        net = micro_config().net
+        layers = net.layers[:-1] + (replace(net.layers[-1], channels=channels),)
+        params = init_params(micro_config(net=replace(net, layers=layers), **overrides), seed, np.float64)
+        return {name: params[name] for name in table}
+    return draw
 
 
 @pytest.fixture()

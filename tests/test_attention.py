@@ -12,20 +12,20 @@ def bank_from(arr, window=1, stride=1):
 def test_patch_count_22_map():
     fmap = Tensor(np.random.default_rng(0).standard_normal((22, 22, 4)))
     bank = attn.pool_patches(fmap, 6, 1)
-    assert bank.count == (22 - 6 + 1) ** 2 == 289
+    assert len(bank.data) == (22 - 6 + 1) ** 2 == 289
 
 
 def test_single_patch_equals_global_mean(rng):
     fmap = rng.standard_normal((5, 5, 3))
     bank = bank_from(fmap, window=5)
-    assert bank.count == 1
-    np.testing.assert_allclose(bank.vectors.data[0], fmap.mean(axis=(0, 1)), atol=1e-12)
+    assert len(bank.data) == 1
+    np.testing.assert_allclose(bank.data[0], fmap.mean(axis=(0, 1)), atol=1e-12)
 
 
 def test_constant_map_gives_identical_vectors():
     fmap = np.full((7, 7, 2), 1.75)
     bank = bank_from(fmap, window=3)
-    np.testing.assert_allclose(bank.vectors.data, 1.75)
+    np.testing.assert_allclose(bank.data, 1.75)
 
 
 def _hand_params(hidden, channels, attn_size, seed):
@@ -58,7 +58,7 @@ def test_two_patch_closed_form():
     params = _hand_params(2, 2, 3, 7)
     h = np.array([0.3, -0.8])
     f1, f2 = np.array([0.5, 1.0]), np.array([-1.0, 0.25])
-    bank = attn.PatchBank(vectors=Tensor(np.stack([f1, f2])), window=1, stride=1, grid=1)
+    bank = Tensor(np.stack([f1, f2]))
     got = attn.attention_scores(Tensor(h), bank, params).data
     wa, wh, wf, b = (params[k].data for k in ("attn/wa", "attn/wh", "attn/wf", "attn/b"))
     for k, f in enumerate((f1, f2)):
@@ -76,7 +76,7 @@ def test_attended_vector_of_equal_patches_is_that_patch(rng):
 
 def test_attended_vector_closed_form_weights():
     v1, v2 = np.array([2.0, 0.0]), np.array([0.0, 3.0])
-    bank = attn.PatchBank(vectors=Tensor(np.stack([v1, v2])), window=1, stride=1, grid=1)
+    bank = Tensor(np.stack([v1, v2]))
     vec, alpha = attn.attended_vector(Tensor(np.array([np.log(2.0), 0.0])), bank)
     np.testing.assert_allclose(alpha.data, [2 / 3, 1 / 3], atol=1e-12)
     np.testing.assert_allclose(vec.data, (2 / 3) * v1 + (1 / 3) * v2, atol=1e-12)
@@ -84,7 +84,7 @@ def test_attended_vector_closed_form_weights():
 
 def test_weights_form_simplex(rng):
     bank = bank_from(rng.standard_normal((6, 6, 4)), window=3)
-    _, alpha = attn.attended_vector(Tensor(rng.standard_normal(bank.count)), bank)
+    _, alpha = attn.attended_vector(Tensor(rng.standard_normal(len(bank.data))), bank)
     assert (alpha.data > 0).all()
     assert alpha.data.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -92,20 +92,20 @@ def test_weights_form_simplex(rng):
 def test_attended_in_convex_hull(rng):
     for _ in range(20):
         bank = bank_from(rng.standard_normal((4, 4, 3)), window=2)
-        vec, _ = attn.attended_vector(Tensor(rng.standard_normal(bank.count) * 4), bank)
-        lo = bank.vectors.data.min(axis=0) - 1e-9
-        hi = bank.vectors.data.max(axis=0) + 1e-9
+        vec, _ = attn.attended_vector(Tensor(rng.standard_normal(len(bank.data)) * 4), bank)
+        lo = bank.data.min(axis=0) - 1e-9
+        hi = bank.data.max(axis=0) + 1e-9
         assert ((vec.data >= lo) & (vec.data <= hi)).all()
 
 
 def test_uniform_variant_equals_equal_scores(rng):
     bank = bank_from(rng.standard_normal((5, 5, 3)), window=2)
     uniform, _ = attn.uniform_attended_vector(bank)
-    equal_scores, _ = attn.attended_vector(Tensor(np.full(bank.count, 0.37)), bank)
+    equal_scores, _ = attn.attended_vector(Tensor(np.full(len(bank.data), 0.37)), bank)
     np.testing.assert_allclose(uniform.data, equal_scores.data, atol=1e-9)
 
 
 def test_score_count_mismatch_rejected(rng):
     bank = bank_from(rng.standard_normal((4, 4, 2)), window=2)
     with pytest.raises(ValueError):
-        attn.attended_vector(Tensor(np.zeros(bank.count + 1)), bank)
+        attn.attended_vector(Tensor(np.zeros(len(bank.data) + 1)), bank)

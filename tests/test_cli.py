@@ -289,12 +289,59 @@ def test_track_with_impossible_conv_layer_is_clean_error(trained, tmp_path, laye
 # the desk model's top_k is 2, so it needs at least two negative slots
 @pytest.mark.parametrize("key,value", [("mem_decay", 0.0), ("mem_decay", -0.5), ("mem_decay", 1.5),
                                        ("n_pos", 0), ("n_pos", -1), ("num_scales", 0), ("top_k", -1),
-                                       ("n_neg", 1)])
+                                       ("n_neg", 1),
+                                       ("scale_step", "nan"), ("window_weight", "nan"), ("context_factor", "inf"),
+                                       ("tau", "-inf"), ("score_ratio", "nan"), ("mem_decay", "nan"),
+                                       ("scale_step", 0.0), ("scale_step", -1.05),
+                                       ("window_weight", -0.1), ("window_weight", 1.5),
+                                       ("scale_smooth", -0.5), ("scale_smooth", 1.01),
+                                       ("dropout_keep", 0.0), ("dropout_keep", 1.2),
+                                       ("context_factor", -0.5), ("patch_stride", 0)])
 def test_config_rejects_values_that_cannot_run(key, value):
     entries = config_to_dict(desk_config())
     entries[key] = value
     with pytest.raises(ValueError, match=key):
         config_from_dict(entries)
+
+
+# the last row's first kernel is wider than the 40 px object input
+@pytest.mark.parametrize("key,value", [("scale_step", "nan"), ("window_weight", "nan"), ("context_factor", "inf"),
+                                       ("layer0", "41,1,32,1,none,0,0")])
+def test_track_with_a_config_that_cannot_track_is_clean_error(trained, tmp_path, key, value):
+    ckpt, seq = trained
+    entries = config_to_dict(desk_config())
+    entries[key] = value
+    bad, out = tmp_path / "bad.cfg", tmp_path / "r.txt"
+    save_config(str(bad), entries)
+    assert run(["track", "--ckpt", str(ckpt), "--seq", str(seq), "--out", str(out), "--config", str(bad)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_track_with_non_finite_checkpoint_is_clean_error(trained, tmp_path, capsys, value):
+    ckpt, seq = trained
+    params = load_checkpoint(str(ckpt))
+    params["featnet/conv0_w"].data[1, 2, 0, 3] = value
+    model, out = tmp_path / "model.ckpt", tmp_path / "r.txt"
+    save_checkpoint(str(model), params)
+    shutil.copy(str(ckpt) + ".cfg", str(model) + ".cfg")
+    assert run(["track", "--ckpt", str(model), "--seq", str(seq), "--out", str(out)]) == 2
+    assert "'featnet/conv0_w'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_track_draws_no_parameters(trained, tmp_path, monkeypatch):
+    # the checkpoint-fit check reads the declared shapes and never draws weights
+    from memtracker import featnet
+
+    def refuse(*args):
+        raise AssertionError("track drew a parameter")
+
+    monkeypatch.setattr(featnet, "glorot", refuse)
+    ckpt, seq = trained
+    out = tmp_path / "r.txt"
+    assert run(["track", "--ckpt", str(ckpt), "--seq", str(seq), "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 20
 
 
 def test_gradcheck_exit_zero():

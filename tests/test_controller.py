@@ -8,8 +8,8 @@ HID, CH = 8, 5
 
 
 @pytest.fixture()
-def params():
-    return ctrl.init_controller(HID, CH, seed=0, dtype=np.float64)
+def params(module_params):
+    return module_params(ctrl.param_table(HID, CH), CH, hidden=HID)
 
 
 def zeroed(params):

@@ -47,12 +47,12 @@ def test_wrong_patch_size_rejected(desk_cfg, desk_params, rng):
 
 
 def test_init_deterministic(desk_cfg):
-    a = featnet.init_feature_net(desk_cfg.net, seed=5)
-    b = featnet.init_feature_net(desk_cfg.net, seed=5)
-    c = featnet.init_feature_net(desk_cfg.net, seed=6)
-    for k in a:
+    from memtracker.model import init_params
+    names = featnet.param_table(desk_cfg.net)
+    a, b, c = (init_params(desk_cfg, seed) for seed in (5, 5, 6))
+    for k in names:
         assert np.array_equal(a[k].data, b[k].data)
-    assert any(not np.array_equal(a[k].data, c[k].data) for k in a)
+    assert any(not np.array_equal(a[k].data, c[k].data) for k in names)
 
 
 @pytest.mark.parametrize("shape", [(7,), (4, 9), (3, 3, 5, 2)])
@@ -68,11 +68,12 @@ def test_glorot_rows_draw_the_whole_shape(shape, dtype):
     assert a.random() == b.random()
 
 
-def test_param_count_closed_form(desk_cfg):
+def test_param_count_closed_form(desk_cfg, desk_params):
     # conv1 5*5*3*32+32, conv2 3*3*32*32+32, conv3 3*3*32*32+32
     expected = (5 * 5 * 3 * 32 + 32) + (3 * 3 * 32 * 32 + 32) + (3 * 3 * 32 * 32 + 32)
-    assert featnet.param_count(desk_cfg.net) == expected == 20928
-    params = featnet.init_feature_net(desk_cfg.net, 0)
+    table = featnet.param_table(desk_cfg.net)
+    assert sum(np.prod(shape) for k, (shape, _) in table.items() if "conv" in k) == expected == 20928
+    params = {k: desk_params[k] for k in table}
     conv_total = sum(p.data.size for k, p in params.items() if "conv" in k)
     assert conv_total == expected
 
@@ -123,4 +124,4 @@ def test_degenerate_config_rejected():
     bad = FeatureNetConfig(object_size=8, search_size=16,
                            layers=(ConvLayer(kernel=9, stride=1, channels=4),))
     with pytest.raises(ValueError):
-        featnet.init_feature_net(bad, 0)
+        featnet.param_table(bad)

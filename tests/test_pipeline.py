@@ -13,7 +13,8 @@ from memtracker import autodiff as ad
 from memtracker import checkpoint as ckpt
 from memtracker import featnet, synth, template, tracker
 from memtracker.autodiff import Tensor
-from memtracker.model import config_from_dict, config_to_dict, desk_config, full_config, init_params, micro_config
+from memtracker.model import (config_from_dict, config_to_dict, desk_config, full_config, init_params, micro_config,
+                              param_tables)
 
 
 def _unroll(video, params, cfg):
@@ -142,7 +143,16 @@ def _params_digest(params):
      "1ea7b73b2f8734bac729217a762b67c097882e9327866ee2027d5bfcb691b7a8"),
     (lambda: init_params(micro_config(), 0, np.float64),
      "f64ce86074939be976156cd9221a522c9c993a41c32c134cc77ae42cc587b23f"),
+    (lambda: init_params(full_config(), 3),
+     "0f0d4eff6cdad0e629885b1687450b98225984d59e5353ccfcd64d1d7bbaf854"),
 ])
 def test_init_params_bits_are_kept(make, digest):
     # every saved checkpoint, bench figure and seeded result starts from these bits
     assert _params_digest(make()) == digest
+
+
+@pytest.mark.parametrize("make_cfg", [desk_config, full_config, micro_config], ids=["desk", "full", "micro"])
+def test_param_tables_give_the_drawn_names_and_shapes_in_order(make_cfg):
+    cfg = make_cfg()
+    declared = [(name, shape) for table in param_tables(cfg) for name, (shape, _) in table.items()]
+    assert declared == [(name, t.data.shape) for name, t in init_params(cfg, 0).items()]

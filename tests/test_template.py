@@ -9,8 +9,8 @@ n, C = 4, 6
 
 
 @pytest.fixture()
-def cancel_params():
-    return tmpl.init_cancel(C, seed=0, dtype=np.float64)
+def cancel_params(module_params):
+    return module_params(tmpl.param_table(C), C)
 
 
 def rand_t(rng):
@@ -46,9 +46,9 @@ def test_cancel_zero_negative_is_identity(cancel_params, rng):
     assert ((gate.data > 0) & (gate.data < 1)).all()
 
 
-def test_cancel_forced_full_gate(rng):
+def test_cancel_forced_full_gate(rng, module_params):
     # saturate the gate's output affine so the gate is ~1 everywhere
-    params = tmpl.init_cancel(C, seed=1, dtype=np.float64)
+    params = module_params(tmpl.param_table(C), C, seed=1)
     params["cancel/w_out"] = Tensor(np.full((C, C), 50.0))
     params["cancel/w_pos"] = Tensor(np.eye(C) * 50.0)
     params["cancel/w_neg"] = Tensor(np.zeros((C, C)))

@@ -356,22 +356,6 @@ def test_ablations_all_run(desk_cfg, desk_params):
         assert len(boxes) == 5
 
 
-def test_state_dump_roundtrips_through_checkpoint_container(desk_cfg, desk_params, tmp_path):
-    from memtracker.checkpoint import load_checkpoint
-    v = _video(seed=4, frames=3)
-    with ad.no_grad():
-        state = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg)
-        state, _ = tracker.step(state, v.frames[1], desk_params, desk_cfg)
-    path = tmp_path / "state.ckpt"
-    tracker.dump_state(path, state)
-    back = load_checkpoint(path)
-    assert np.array_equal(back["posmem/slots"].data, state.pos_mem.slots.data)
-    assert np.array_equal(back["negmem/access"].data, state.neg_mem.access)
-    assert np.array_equal(back["state/h"].data, state.h.data)
-    np.testing.assert_allclose(back["state/box"].data,
-                               [state.box.cx, state.box.cy, state.box.w, state.box.h])
-
-
 def test_static_target_tracked_with_random_weights(desk_cfg, desk_params):
     from memtracker import evaluate
     v = _video(seed=7, frames=10, drift=0.0, size_drift=0.0, speed=8.0)

@@ -1,4 +1,5 @@
 import gc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ def test_full_scale_schedule_roundtrips_through_config(tmp_path):
     tc = train.TrainConfig(lr=1e-4, lr_decay=0.8, lr_interval=10000, batch_clips=8,
                            clip_len=16, kappa=0.05)
     path = tmp_path / "train.cfg"
-    ckpt.save_config(path, train.train_config_to_dict(tc))
+    ckpt.save_config(path, asdict(tc))
     back = train.train_config_from_dict(ckpt.load_config(path))
     assert back == tc
     assert (back.lr, back.lr_decay, back.lr_interval) == (1e-4, 0.8, 10000)
