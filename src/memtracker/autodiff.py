@@ -156,21 +156,10 @@ def matmul(a, b):
     if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
         raise ValueError(f"matmul supports 1-D/2-D operands, got {a.data.ndim}-D @ {b.data.ndim}-D")
 
-    def a_vjp(g):
-        if b.data.ndim == 2:
-            return g @ b.data.T
-        if a.data.ndim == 2:  # 2-D @ 1-D
-            return np.outer(g, b.data)
-        return g * b.data  # 1-D @ 1-D
-
-    def b_vjp(g):
-        if a.data.ndim == 2:
-            return a.data.T @ g
-        if b.data.ndim == 2:  # 1-D @ 2-D
-            return np.outer(a.data, g)
-        return g * a.data
-
-    return _make(a.data @ b.data, (a, a_vjp), (b, b_vjp))
+    # with a 1-D operand the other's gradient is an outer product (a scaling for 1-D @ 1-D)
+    return _make(a.data @ b.data,
+                 (a, lambda g: g @ b.data.T if b.data.ndim == 2 else np.multiply.outer(g, b.data)),
+                 (b, lambda g: a.data.T @ g if a.data.ndim == 2 else np.multiply.outer(a.data, g)))
 
 
 # ---------------------------------------------------------------------------

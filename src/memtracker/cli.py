@@ -77,9 +77,6 @@ def cmd_train(args):
 
 def cmd_track(args):
     cfg_path = args.config or (args.ckpt + ".cfg")
-    if not os.path.exists(cfg_path):
-        print(f"error: model config {cfg_path} not found", file=sys.stderr)
-        return 2
     cfg = config_from_dict(ckpt.load_config(cfg_path))
     overrides = {"n_pos": args.npos, "n_neg": args.nneg}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

@@ -186,8 +186,11 @@ def composed_model_check(seeds, h=1e-5, coords_per_tensor=3):
 def run_suite(seeds=range(20), tol=1e-4, model_check=None, verbose=False):
     """Run the primitive checks over many seeds; optionally a composed-model check.
 
-    Returns (passed, report) where report maps check name to worst error.
+    Returns (passed, report) where report maps check name to worst error;
+    no seeds at all raises ValueError, since nothing would be checked.
     """
+    if not seeds:
+        raise ValueError(f"the gradient suite needs at least one seed, got {seeds!r}")
     report = {}
     for seed in seeds:
         for name, err in primitive_checks(int(seed)).items():

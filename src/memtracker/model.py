@@ -7,6 +7,8 @@ to train on a CPU in minutes, which is the default for tests and the CLI.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
@@ -39,6 +41,24 @@ VARIANTS = {
 ABLATIONS = tuple(VARIANTS)
 
 
+def check_fields(obj, at_least=(), ranges=()):
+    """Raise a ValueError naming the first bad field of dataclass `obj`: a
+    real value that is NaN or infinite, then a value below its `(name, low)`
+    floor in `at_least`, then a failed `(name, ok, wording)` rule in `ranges`."""
+    where = type(obj).__name__
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        # NaN fails both comparisons, and a Python int of any size passes them
+        if isinstance(value, numbers.Real) and not -math.inf < value < math.inf:
+            raise ValueError(f"{where}.{f.name} must be finite, got {value}")
+    for name, low in at_least:
+        if getattr(obj, name) < low:
+            raise ValueError(f"{where}.{name} must be at least {low}, got {getattr(obj, name)}")
+    for name, ok, rule in ranges:
+        if not ok:
+            raise ValueError(f"{where}.{name} must be {rule}, got {getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     net: FeatureNetConfig
@@ -59,24 +79,16 @@ class ModelConfig:
     patch_stride: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        # a queue memory's least-accessed slot is its oldest only for a decay in (0, 1]
-        for name, ok, rule in (("mem_decay", 0.0 < self.mem_decay <= 1.0, "in (0, 1]"),
-                               ("scale_step", self.scale_step > 0.0, "positive"),
-                               ("window_weight", 0.0 <= self.window_weight <= 1.0, "in [0, 1]"),
-                               ("scale_smooth", 0.0 <= self.scale_smooth <= 1.0, "in [0, 1]"),
-                               ("dropout_keep", 0.0 < self.dropout_keep <= 1.0, "in (0, 1]"),
-                               ("context_factor", self.context_factor >= 0.0, "at least 0")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+        # a queue memory's least-accessed slot is its oldest only for a decay in (0, 1];
         # every distractor a frame yields takes a negative slot
-        for name, low in (("n_pos", 1), ("num_scales", 1), ("top_k", 0), ("n_neg", max(self.top_k, 1)),
-                          ("patch_stride", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        check_fields(self, at_least=(("n_pos", 1), ("num_scales", 1), ("top_k", 0),
+                                     ("n_neg", max(self.top_k, 1)), ("patch_stride", 1)),
+                     ranges=(("mem_decay", 0.0 < self.mem_decay <= 1.0, "in (0, 1]"),
+                             ("scale_step", self.scale_step > 0.0, "positive"),
+                             ("window_weight", 0.0 <= self.window_weight <= 1.0, "in [0, 1]"),
+                             ("scale_smooth", 0.0 <= self.scale_smooth <= 1.0, "in [0, 1]"),
+                             ("dropout_keep", 0.0 < self.dropout_keep <= 1.0, "in (0, 1]"),
+                             ("context_factor", self.context_factor >= 0.0, "at least 0")))
 
     @property
     def search_ratio(self):
@@ -173,11 +185,22 @@ def init_params(cfg: ModelConfig, seed, dtype=np.float32):
 
 # --- config file mapping (line-based "key = value") ------------------------
 
+def _pop_entry(entries, key, cast):
+    """`cast(entries.pop(key))`; a missing key, or a value `cast` refuses,
+    raises a ValueError that names the key."""
+    if key not in entries:
+        raise ValueError(f"config key {key!r} is missing")
+    value = entries.pop(key)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} has an ill-typed value {value!r}") from None
+
+
 def fields_from_dict(cls, entries):
-    """Pop the int and float fields of dataclass `cls` out of `entries`,
-    each cast to its declared type; a missing one raises KeyError."""
+    """Pop the int and float fields of dataclass `cls` out of `entries`, cast by `_pop_entry`."""
     types = get_type_hints(cls)
-    return {f.name: types[f.name](entries.pop(f.name)) for f in fields(cls)
+    return {f.name: _pop_entry(entries, f.name, types[f.name]) for f in fields(cls)
             if types[f.name] in (int, float)}
 
 
@@ -198,16 +221,18 @@ def config_to_dict(cfg: ModelConfig):
     return d
 
 
+def _layer_fields(raw):
+    """The ConvLayer fields of one `layer<i>` entry."""
+    k, s, c, r, pk, pn, ps = raw.split(",")
+    pool = None if pk == "none" else (pk, int(pn), int(ps))
+    return dict(kernel=int(k), stride=int(s), channels=int(c), relu=bool(int(r)), pool=pool)
+
+
 def config_from_dict(d):
     d = dict(d)
-    num_layers = int(d.pop("num_layers"))
-    layers = []
-    for i in range(num_layers):
-        raw = d.pop(f"layer{i}")
-        k, s, c, r, pk, pn, ps = raw.split(",")
-        pool = None if pk == "none" else (pk, int(pn), int(ps))
-        layers.append(ConvLayer(kernel=int(k), stride=int(s), channels=int(c), relu=bool(int(r)), pool=pool))
-    net = FeatureNetConfig(layers=tuple(layers), **fields_from_dict(FeatureNetConfig, d))
+    num_layers = _pop_entry(d, "num_layers", int)
+    layers = tuple(ConvLayer(**_pop_entry(d, f"layer{i}", _layer_fields)) for i in range(num_layers))
+    net = FeatureNetConfig(layers=layers, **fields_from_dict(FeatureNetConfig, d))
     cfg = ModelConfig(net=net, **fields_from_dict(ModelConfig, d))
     if d:
         raise ValueError(f"unknown config keys: {sorted(d)}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import check_fields
 from .tracker import BoundingBox
 
 SHAPE_NAMES = ("disk", "square", "triangle", "plus", "ring")
@@ -30,11 +31,8 @@ class SynthConfig:
     speed: float = 14.0       # motion amplitude in pixels
 
     def __post_init__(self):
-        for name, low in (("canvas", 1), ("frames", 1), ("num_classes", 1), ("distractors", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if not self.target_size > 0:
-            raise ValueError(f"target_size must be positive, got {self.target_size}")
+        check_fields(self, at_least=(("canvas", 1), ("frames", 1), ("num_classes", 1), ("distractors", 0)),
+                     ranges=(("target_size", self.target_size > 0, "positive"),))
 
 
 @dataclass

@@ -4,7 +4,6 @@ multi-scale search, and the per-frame model (`init`, `frame_forward`,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ from . import featnet
 from . import memory as mem
 from . import template as tmpl
 from .autodiff import Tensor
-from .model import ABLATIONS, VARIANTS, ModelConfig
+from .model import ABLATIONS, VARIANTS, ModelConfig, check_fields
 
 
 @dataclass
@@ -28,10 +27,7 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.w, self.h)):
-            raise ValueError(f"box fields must be finite, got {self}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box sides must be positive, got {self.w}x{self.h}")
+        check_fields(self, ranges=(("w", self.w > 0, "positive"), ("h", self.h > 0, "positive")))
 
     @staticmethod
     def from_topleft(x, y, w, h):
@@ -132,11 +128,6 @@ def crop_resize(prepared, cx, cy, side, out_size):
     return out.transpose(1, 2, 0)
 
 
-def cosine_window(size):
-    w = np.hanning(size)
-    return np.outer(w, w)
-
-
 def choose_peak(maps, window_weight):
     """(scale, row, col) of the best cell of the stacked (scales, P, P)
     responses, each min-max normalised and blended with a cosine window, or
@@ -148,8 +139,9 @@ def choose_peak(maps, window_weight):
     if flat.all() or not np.isfinite(span).all():
         return None
     # a flat map divides by inf and normalises to zeros
+    hann = np.hanning(maps.shape[-1])
     damped = ((1.0 - window_weight) * ((maps - lo) / np.where(flat, np.inf, span))
-              + window_weight * cosine_window(maps.shape[-1]))
+              + window_weight * np.outer(hann, hann))
     s, p, q = np.unravel_index(int(np.argmax(damped)), damped.shape)
     return int(s), p, q
 

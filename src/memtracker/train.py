@@ -20,7 +20,7 @@ from . import featnet
 from . import template as tmpl
 from . import tracker
 from .autodiff import Tensor
-from .model import ModelConfig, fields_from_dict
+from .model import ModelConfig, check_fields, fields_from_dict, init_params
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -47,9 +47,7 @@ class TrainConfig:
     radius: float = 2.0       # positive-label radius in score cells
 
     def __post_init__(self):
-        for name, low in (("steps", 1), ("batch_clips", 1), ("clip_len", 2), ("lr_interval", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        check_fields(self, at_least=(("steps", 1), ("batch_clips", 1), ("clip_len", 2), ("lr_interval", 1)))
 
 
 def train_config_from_dict(entries):
@@ -200,8 +198,6 @@ def train(tc: TrainConfig, cfg: ModelConfig, source, params=None, on_step=None):
     .class_id). A finite source that runs out stops training cleanly with
     the parameters trained so far.
     """
-    from .model import init_params
-
     if params is None:
         params = init_params(cfg, tc.seed)
     adam = Adam(params)

@@ -346,3 +346,54 @@ def test_track_draws_no_parameters(trained, tmp_path, monkeypatch):
 
 def test_gradcheck_exit_zero():
     assert run(["gradcheck", "--seed", "7", "--tol", "1e-4"]) == 0
+
+
+@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--radius", "nan"], ["--lr-decay=-inf"],
+                                   ["--speed", "nan"], ["--drift", "inf"]])
+def test_train_with_a_non_finite_flag_is_clean_error(tmp_path, capsys, flags):
+    out = tmp_path / "model.ckpt"
+    assert run(["train", "--out", str(out), "--steps", "2", "--clip-len", "2", "--frames", "4",
+                "--canvas", "48", "--size", "12", "--log-every", "0", *flags]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_config_file_with_infinite_kappa_is_clean_error(tmp_path, capsys):
+    schedule, out = tmp_path / "train.cfg", tmp_path / "model.ckpt"
+    save_config(str(schedule), {"steps": 2, "clip_len": 2, "kappa": "inf"})
+    assert run(["train", "--out", str(out), "--train-config", str(schedule), "--frames", "4",
+                "--canvas", "48", "--size", "12", "--log-every", "0"]) == 2
+    assert "kappa must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.cfg"]
+
+
+@pytest.mark.parametrize("flag", ["--speed", "--drift", "--size-drift", "--size"])
+def test_synth_with_a_nan_flag_is_clean_error(tmp_path, capsys, flag):
+    out = tmp_path / "seqs"
+    assert run(["synth", "--out", str(out), "--num", "1", "--frames", "3", flag, "nan"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("tau", None), ("layer1", None), ("tau", "four"), ("hidden", "1.5")])
+def test_track_with_a_config_missing_or_mistyping_a_key_is_clean_error(trained, tmp_path, capsys, key, value):
+    ckpt, seq = trained
+    entries = config_to_dict(desk_config())
+    if value is None:
+        del entries[key]
+    else:
+        entries[key] = value
+    bad, out = tmp_path / "bad.cfg", tmp_path / "r.txt"
+    save_config(str(bad), entries)
+    assert run(["track", "--ckpt", str(ckpt), "--seq", str(seq), "--out", str(out), "--config", str(bad)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_gradcheck_without_seeds_is_clean_error(tmp_path, capsys, monkeypatch, seeds):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gradcheck", "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and "pass" not in captured.out
+    assert list(tmp_path.iterdir()) == []
