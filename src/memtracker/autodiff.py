@@ -328,53 +328,67 @@ def layer_norm(v, gain, bias, eps=1e-5):
 
 
 def _windows(x, n, m, stride, op):
-    """Read-only (oh, ow, n, m, C) view of every n-by-m window of the (H,W,C)
-    map `x` at `stride`, valid placement only; `op` names the caller in errors."""
-    H, W, C = x.shape
+    """Read-only (..., oh, ow, n, m, C) view of every n-by-m window of the
+    (..., H,W,C) maps `x` at `stride`, valid placement only; `op` names the
+    caller in errors."""
+    *lead, H, W, C = x.shape
     if stride < 1:
         raise ValueError(f"{op} stride must be positive, got {stride}")
     if not (1 <= n <= H and 1 <= m <= W):
         raise ValueError(f"{op} window {n}x{m} does not fit input extent {H}x{W}")
-    s0, s1, s2 = x.strides
-    shape = ((H - n) // stride + 1, (W - m) // stride + 1, n, m, C)
-    return as_strided(x, shape, (s0 * stride, s1 * stride, s0, s1, s2), writeable=False)
+    *sl, s0, s1, s2 = x.strides
+    shape = (*lead, (H - n) // stride + 1, (W - m) // stride + 1, n, m, C)
+    return as_strided(x, shape, (*sl, s0 * stride, s1 * stride, s0, s1, s2), writeable=False)
 
 
 def _col2im(cols, shape, stride):
-    """Adjoint of `_windows`: add (n, m, oh, ow, C) per-window values back onto
-    a zero (H,W,C) map, one strided add per window offset."""
-    n, m, oh, ow, _ = cols.shape
+    """Adjoint of `_windows`: add (n, m, ..., oh, ow, C) per-window values back
+    onto zero (..., H,W,C) maps, one strided add per window offset."""
+    n, m, *_, oh, ow, _ = cols.shape
     out = np.zeros(shape, dtype=cols.dtype)
     for u in range(n):
         for v in range(m):
-            out[u:u + (oh - 1) * stride + 1:stride, v:v + (ow - 1) * stride + 1:stride] += cols[u, v]
+            out[..., u:u + (oh - 1) * stride + 1:stride, v:v + (ow - 1) * stride + 1:stride, :] += cols[u, v]
     return out
 
 
 def conv2d(x, kernels, stride=1):
-    """Valid (unpadded) strided 2-D convolution.
+    """Valid (unpadded) strided 2-D convolution in G channel groups.
 
-    x: (H,W,Cin) feature map; kernels: (kh,kw,Cin,Cout). Output channels are
-    the kernel count. Implemented as an im2col matmul; the patch matrix is
-    cached for the weight gradient.
+    x: (H,W,Cin) feature map; kernels: (kh,kw,Cin/G,Cout), so G is Cin over
+    the kernel depth, and output group g (channels g*Cout/G onwards) sees
+    only input group g. Implemented as one im2col matmul batched over the
+    groups, on a group-major copy of x (no copy when G = 1 and x is
+    contiguous); the patch matrix is cached for the weight gradient.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if x.data.ndim != 3 or kernels.data.ndim != 4:
-        raise ValueError("conv2d expects (H,W,C) input and (kh,kw,Cin,Cout) kernels")
-    kh, kw, cin, cout = kernels.data.shape
-    if cin != x.data.shape[2]:
-        raise ValueError(f"conv2d channel mismatch: input has {x.data.shape[2]}, kernels expect {cin}")
-    windows = _windows(x.data, kh, kw, stride, "conv2d")
-    oh, ow = windows.shape[:2]
-    col = windows.reshape(oh * ow, kh * kw * cin)
-    out_data = (col @ kernels.data.reshape(kh * kw * cin, cout)).reshape(oh, ow, cout)
+        raise ValueError("conv2d expects (H,W,C) input and (kh,kw,Cin/G,Cout) kernels")
+    H, W, cin = x.data.shape
+    kh, kw, cg, cout = kernels.data.shape
+    G = cin // max(cg, 1)
+    if G < 1 or G * cg != cin or cout % G:
+        raise ValueError(f"conv2d channel mismatch: input has {cin}, kernels expect {cg} per group "
+                         f"and give {cout} outputs")
+    co = cout // G
+    windows = _windows(np.ascontiguousarray(x.data.reshape(H, W, G, cg).transpose(2, 0, 1, 3)),
+                       kh, kw, stride, "conv2d")
+    oh, ow = windows.shape[1:3]
+    col = windows.reshape(G, oh * ow, kh * kw * cg)
+    w = kernels.data.reshape(kh * kw * cg, G, co).transpose(1, 0, 2)
+    out_data = np.matmul(col, w).transpose(1, 0, 2).reshape(oh, ow, cout)
+
+    def groups(g):  # (oh,ow,Cout) -> (G, oh*ow, Cout/G)
+        return g.reshape(oh * ow, G, co).transpose(1, 0, 2)
 
     def x_vjp(g):
-        cols = np.matmul(g.reshape(oh * ow, cout), kernels.data.reshape(kh * kw, cin, cout).transpose(0, 2, 1))
-        return _col2im(cols.reshape(kh, kw, oh, ow, cin), x.data.shape, stride)
+        cols = np.matmul(groups(g), kernels.data.reshape(kh * kw, cg, G, co).transpose(0, 2, 3, 1))
+        gx = _col2im(cols.reshape(kh, kw, G, oh, ow, cg), (G, H, W, cg), stride)
+        return gx.transpose(1, 2, 0, 3).reshape(H, W, cin)
 
     return _make(out_data, (x, x_vjp),
-                 (kernels, lambda g: (col.T @ g.reshape(oh * ow, cout)).reshape(kernels.data.shape)))
+                 (kernels, lambda g: np.matmul(col.transpose(0, 2, 1), groups(g))
+                  .transpose(1, 0, 2).reshape(kernels.data.shape)))
 
 
 def cross_correlate(search, template):

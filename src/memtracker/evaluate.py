@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_config, save_config
+from .model import _pop_entry
 from .ppm import write_ppm
 from .tracker import BoundingBox
 
@@ -123,7 +124,11 @@ def load_sequence(directory):
     if len(boxes) != len(names):
         raise ValueError(f"{directory}: {len(names)} frames but {len(boxes)} ground-truth boxes")
     meta = os.path.join(directory, "meta.txt")
-    class_id = int(load_config(meta).get("class_id", 0)) if os.path.exists(meta) else 0
+    entries = {"class_id": "0", **(load_config(meta) if os.path.exists(meta) else {})}
+    try:
+        class_id = _pop_entry(entries, "class_id", int)
+    except ValueError as exc:
+        raise ValueError(f"{meta}: {exc}") from None
     return SequenceRecord(name=os.path.basename(os.path.normpath(directory)),
                           frame_paths=[os.path.join(directory, n) for n in names],
                           boxes=boxes, class_id=class_id)

@@ -20,10 +20,11 @@ class ConvLayer:
     channels: int
     relu: bool = True
     pool: tuple | None = None  # (kind "max"|"avg", size, stride)
+    groups: int = 1  # channel groups: output group g sees only input group g
 
     def __post_init__(self):
-        if min(self.kernel, self.stride, self.channels) < 1:
-            raise ValueError(f"conv layer kernel, stride and channels must be >= 1, got {self}")
+        if min(self.kernel, self.stride, self.channels, self.groups) < 1:
+            raise ValueError(f"conv layer kernel, stride, channels and groups must be >= 1, got {self}")
         if self.pool is not None and (self.pool[0] not in _POOLS or min(self.pool[1:]) < 1):
             raise ValueError(f"conv layer pool must be None or (max|avg, size >= 1, stride >= 1), got {self}")
 
@@ -35,6 +36,16 @@ class FeatureNetConfig:
     layers: tuple[ConvLayer, ...]
     num_classes: int = 30
     cls_hidden: int = 1024
+
+    def __post_init__(self):
+        from .model import check_fields  # model imports this module
+
+        check_fields(self, at_least=(("object_size", 1), ("search_size", 1), ("num_classes", 1), ("cls_hidden", 1)),
+                     ranges=(("layers", len(self.layers) >= 1, "at least one conv layer"),))
+        for i, (cin, ly) in enumerate(zip((3, *(ly.channels for ly in self.layers)), self.layers)):
+            if cin % ly.groups or ly.channels % ly.groups:
+                raise ValueError(f"FeatureNetConfig layer{i}: groups {ly.groups} must divide its "
+                                 f"{cin} input and {ly.channels} output channels")
 
     @property
     def channels(self):
@@ -93,7 +104,7 @@ def param_table(cfg: FeatureNetConfig):
     table = {}
     cin = 3
     for i, ly in enumerate(cfg.layers):
-        table[f"featnet/conv{i}_w"] = ((ly.kernel, ly.kernel, cin, ly.channels), None)
+        table[f"featnet/conv{i}_w"] = ((ly.kernel, ly.kernel, cin // ly.groups, ly.channels), None)
         table[f"featnet/conv{i}_b"] = ((ly.channels,), 0.0)
         cin = ly.channels
     n, c = cfg.template_size, cfg.channels

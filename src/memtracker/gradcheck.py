@@ -138,6 +138,10 @@ def primitive_checks(seed, h=1e-5):
     imgm3 = _rand(rng, 9, 9, 2)
     results["max_pool_3s2"] = check_gradients(
         lambda: _weighted(ad.max_pool(imgm3, 3, 2), np.random.default_rng(seed + 16)), [imgm3], h)
+
+    cg, kg = _rand(rng, 7, 8, 4), _rand(rng, 3, 3, 2, 6)  # two channel groups
+    results["conv2d_grouped"] = check_gradients(
+        lambda: _weighted(ad.conv2d(cg, kg, 1), np.random.default_rng(seed + 17)), [cg, kg], h)
     return results
 
 

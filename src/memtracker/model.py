@@ -122,16 +122,17 @@ def desk_config(num_classes=5, **overrides):
 
 
 def full_config(**overrides):
-    """Full-scale configuration: 127/255 inputs, five conv layers, 256 channels."""
+    """Full-scale configuration: SiamFC's AlexNet, 127/255 inputs, five conv
+    layers with conv2, conv4 and conv5 in two channel groups, 256 channels."""
     net = FeatureNetConfig(
         object_size=127,
         search_size=255,
         layers=(
             ConvLayer(kernel=11, stride=2, channels=96, relu=True, pool=("max", 3, 2)),
-            ConvLayer(kernel=5, stride=1, channels=256, relu=True, pool=("max", 3, 2)),
+            ConvLayer(kernel=5, stride=1, channels=256, relu=True, pool=("max", 3, 2), groups=2),
             ConvLayer(kernel=3, stride=1, channels=384, relu=True),
-            ConvLayer(kernel=3, stride=1, channels=384, relu=True),
-            ConvLayer(kernel=3, stride=1, channels=256, relu=False),
+            ConvLayer(kernel=3, stride=1, channels=384, relu=True, groups=2),
+            ConvLayer(kernel=3, stride=1, channels=256, relu=False, groups=2),
         ),
         num_classes=30,
         cls_hidden=1024,
@@ -207,7 +208,8 @@ def fields_from_dict(cls, entries):
 def config_to_dict(cfg: ModelConfig):
     """The scalar fields of the net and model configs in declaration order,
     `num_layers` for `layers`, then per conv layer one entry
-    `layer<i> = kernel,stride,channels,relu,pool kind,pool size,pool stride`."""
+    `layer<i> = kernel,stride,channels,relu,pool kind,pool size,pool stride[,groups]`,
+    the groups written only when not 1."""
     d = {}
     for obj in (cfg.net, cfg):
         for f in fields(obj):
@@ -217,15 +219,17 @@ def config_to_dict(cfg: ModelConfig):
                 d[f.name] = getattr(obj, f.name)
     for i, ly in enumerate(cfg.net.layers):
         pool = "none,0,0" if ly.pool is None else f"{ly.pool[0]},{ly.pool[1]},{ly.pool[2]}"
-        d[f"layer{i}"] = f"{ly.kernel},{ly.stride},{ly.channels},{int(ly.relu)},{pool}"
+        groups = "" if ly.groups == 1 else f",{ly.groups}"
+        d[f"layer{i}"] = f"{ly.kernel},{ly.stride},{ly.channels},{int(ly.relu)},{pool}{groups}"
     return d
 
 
 def _layer_fields(raw):
-    """The ConvLayer fields of one `layer<i>` entry."""
-    k, s, c, r, pk, pn, ps = raw.split(",")
+    """The ConvLayer fields of one `layer<i>` entry; 7 values mean groups = 1."""
+    parts = raw.split(",")
+    k, s, c, r, pk, pn, ps, g = parts + ["1"] if len(parts) == 7 else parts
     pool = None if pk == "none" else (pk, int(pn), int(ps))
-    return dict(kernel=int(k), stride=int(s), channels=int(c), relu=bool(int(r)), pool=pool)
+    return dict(kernel=int(k), stride=int(s), channels=int(c), relu=bool(int(r)), pool=pool, groups=int(g))
 
 
 def config_from_dict(d):

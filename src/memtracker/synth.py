@@ -32,7 +32,8 @@ class SynthConfig:
 
     def __post_init__(self):
         check_fields(self, at_least=(("canvas", 1), ("frames", 1), ("num_classes", 1), ("distractors", 0)),
-                     ranges=(("target_size", self.target_size > 0, "positive"),))
+                     ranges=(("target_size", self.target_size > 0, "positive"),
+                             ("size_drift", 0.0 <= self.size_drift < 1.0, "in [0, 1)")))
 
 
 @dataclass

@@ -339,6 +339,37 @@ def test_conv2d_zero_stride_rejected():
         ad.conv2d(t64(np.zeros((5, 5, 1))), t64(np.zeros((3, 3, 1, 1))), 0)
 
 
+@pytest.mark.parametrize("shape,kernel,stride", [((9, 10, 4), (3, 3, 2, 6), 1), ((12, 11, 6), (3, 2, 2, 9), 2),
+                                                 ((8, 8, 6), (2, 2, 3, 4), 1), ((7, 7, 4), (3, 3, 1, 8), 2)])
+def test_grouped_conv2d_equals_dense_convs_on_channel_slices(rng, shape, kernel, stride):
+    x, k = t64(rng.standard_normal(shape), True), t64(rng.standard_normal(kernel), True)
+    cg, groups = kernel[2], shape[2] // kernel[2]
+    co = kernel[3] // groups
+    out = ad.conv2d(x, k, stride)
+    w = rng.standard_normal(out.data.shape)
+    ad.backward(ad.tsum(ad.mul(out, t64(w))))
+    outs, gxs, gks = [], [], []
+    for g in range(groups):
+        xs = t64(x.data[:, :, g * cg:(g + 1) * cg], True)
+        ks = t64(k.data[..., g * co:(g + 1) * co], True)
+        o = ad.conv2d(xs, ks, stride)
+        ad.backward(ad.tsum(ad.mul(o, t64(w[..., g * co:(g + 1) * co]))))
+        outs.append(o.data)
+        gxs.append(xs.grad)
+        gks.append(ks.grad)
+    for got, want in [(out.data, outs), (x.grad, gxs), (k.grad, gks)]:
+        np.testing.assert_allclose(got, np.concatenate(want, axis=-1), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("depth,kernel", [(5, (3, 3, 2, 4)), (4, (3, 3, 2, 5)), (2, (3, 3, 3, 4)),
+                                          (6, (3, 3, 4, 4)), (3, (3, 3, 0, 4))],
+                         ids=["depth-not-a-multiple", "outputs-not-divisible", "kernel-deeper",
+                              "depth-not-a-multiple-2", "zero-depth-kernel"])
+def test_conv2d_rejects_groups_that_do_not_divide(depth, kernel):
+    with pytest.raises(ValueError, match="conv2d channel mismatch"):
+        ad.conv2d(t64(np.zeros((5, 5, depth))), t64(np.zeros(kernel)), 1)
+
+
 # --- window view and its col2im adjoint ---------------------------------------
 
 @pytest.mark.parametrize("n,m,stride", [(1, 1, 1), (3, 3, 1), (3, 3, 2), (3, 2, 2), (2, 3, 3), (5, 4, 2)])
@@ -349,6 +380,18 @@ def test_col2im_is_adjoint_of_windows(rng, n, m, stride, shape):
     view = ad._windows(x, n, m, stride, "test")
     c = rng.standard_normal((n, m) + view.shape[:2] + shape[2:])
     lhs = np.sum(view.transpose(2, 3, 0, 1, 4) * c)
+    rhs = np.sum(x * ad._col2im(c, shape, stride))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,m,stride", [(3, 3, 1), (3, 2, 2)])
+def test_col2im_is_adjoint_of_windows_with_leading_axes(rng, n, m, stride):
+    shape = (2, 3, 9, 8, 2)
+    x = rng.standard_normal(shape)
+    view = ad._windows(x, n, m, stride, "test")
+    assert view.shape[:4] == shape[:2] + ad._windows(x[0, 0], n, m, stride, "test").shape[:2]
+    c = rng.standard_normal((n, m) + view.shape[:4] + shape[4:])
+    lhs = np.sum(np.moveaxis(view, (4, 5), (0, 1)) * c)
     rhs = np.sum(x * ad._col2im(c, shape, stride))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 

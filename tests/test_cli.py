@@ -397,3 +397,49 @@ def test_gradcheck_without_seeds_is_clean_error(tmp_path, capsys, monkeypatch, s
     captured = capsys.readouterr()
     assert "seed" in captured.err and "pass" not in captured.out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_with_a_config_without_conv_layers_is_clean_error(tmp_path, capsys):
+    entries = config_to_dict(desk_config())
+    entries["num_layers"] = 0
+    for i in range(3):
+        del entries[f"layer{i}"]
+    cfg, out = tmp_path / "empty.cfg", tmp_path / "model.ckpt"
+    save_config(str(cfg), entries)
+    assert run(["train", "--out", str(out), "--config", str(cfg), "--steps", "1", "--clip-len", "2",
+                "--frames", "4", "--canvas", "48", "--size", "12", "--log-every", "0"]) == 2
+    assert "FeatureNetConfig.layers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layer0", ["5,2,32,1,none,0,0,2", "5,2,32,1,none,0,0,0"])
+def test_track_with_conv_groups_that_do_not_divide_is_clean_error(trained, tmp_path, capsys, layer0):
+    ckpt, seq = trained
+    entries = config_to_dict(desk_config())
+    entries["layer0"] = layer0
+    bad, out = tmp_path / "bad.cfg", tmp_path / "r.txt"
+    save_config(str(bad), entries)
+    assert run(["track", "--ckpt", str(ckpt), "--seq", str(seq), "--out", str(out), "--config", str(bad)]) == 2
+    assert "groups" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1.5", "1.0", "-0.1"])
+def test_synth_with_size_drift_outside_unit_interval_is_clean_error(tmp_path, capsys, value):
+    out = tmp_path / "seqs"
+    assert run(["synth", "--out", str(out), "--num", "1", "--frames", "3", f"--size-drift={value}"]) == 2
+    assert "SynthConfig.size_drift" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sequence_with_an_ill_typed_class_id_is_clean_error(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "model.ckpt"
+    assert run(["synth", "--out", str(data), "--num", "1", "--frames", "4", "--canvas", "48",
+                "--size", "12"]) == 0
+    (data / "seq_000" / "meta.txt").write_text("class_id = two\n")
+    assert run(["eval", "--results", str(tmp_path / "r.txt"), "--seq", str(data / "seq_000")]) == 2
+    assert run(["train", "--out", str(out), "--data", str(data), "--steps", "1", "--clip-len", "2",
+                "--log-every", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("meta.txt: config key 'class_id' has an ill-typed value 'two'") == 2
+    assert not out.exists()

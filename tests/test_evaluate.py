@@ -131,3 +131,12 @@ def test_sequence_roundtrip(tmp_path):
     assert record.class_id == video.class_id
     (seq / "meta.txt").unlink()
     assert evaluate.load_sequence(str(seq)).class_id == 0
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", ""])
+def test_load_sequence_names_the_file_and_key_of_a_bad_class_id(tmp_path, value):
+    seq = tmp_path / "seq"
+    evaluate.save_sequence(str(seq), synth.generate(0, synth.SynthConfig(frames=2, canvas=48, target_size=12.0)))
+    (seq / "meta.txt").write_text(f"class_id = {value}\n")
+    with pytest.raises(ValueError, match=rf"meta\.txt: config key 'class_id' has an ill-typed value '{value}'"):
+        evaluate.load_sequence(str(seq))

@@ -61,3 +61,9 @@ def test_eval_clip_loss_is_deterministic():
         b = train.clip_loss(params, cfg, frames, video.boxes, video.class_id, tc,
                             rng=None, mode="eval").item()
     assert a == b
+
+
+def test_grouped_conv_check_is_drawn_last():
+    # drawn after every other check, so those keep their inputs
+    report = gradcheck.primitive_checks(0)
+    assert list(report)[-1] == "conv2d_grouped" and report["conv2d_grouped"] < TOL

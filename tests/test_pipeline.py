@@ -113,10 +113,10 @@ context_factor = 0.5
 dropout_keep = 0.8
 patch_stride = 1
 layer0 = 11,2,96,1,max,3,2
-layer1 = 5,1,256,1,max,3,2
+layer1 = 5,1,256,1,max,3,2,2
 layer2 = 3,1,384,1,none,0,0
-layer3 = 3,1,384,1,none,0,0
-layer4 = 3,1,256,0,none,0,0
+layer3 = 3,1,384,1,none,0,0,2
+layer4 = 3,1,256,0,none,0,0,2
 """
 
 
@@ -144,7 +144,7 @@ def _params_digest(params):
     (lambda: init_params(micro_config(), 0, np.float64),
      "f64ce86074939be976156cd9221a522c9c993a41c32c134cc77ae42cc587b23f"),
     (lambda: init_params(full_config(), 3),
-     "0f0d4eff6cdad0e629885b1687450b98225984d59e5353ccfcd64d1d7bbaf854"),
+     "85411fd635b3f2f332ce06415574dd5a47600b3b47de6f02d9f86ccfde2f5016"),
 ])
 def test_init_params_bits_are_kept(make, digest):
     # every saved checkpoint, bench figure and seeded result starts from these bits

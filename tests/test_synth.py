@@ -118,3 +118,9 @@ def test_shape_masks_vanish_beyond_the_render_reach(shape, size, beyond, across,
 def test_config_rejects_impossible_values(field, value):
     with pytest.raises(ValueError, match=field):
         synth.SynthConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5, -0.1])
+def test_config_rejects_size_drift_outside_unit_interval(value):
+    with pytest.raises(ValueError, match=r"SynthConfig\.size_drift must be in \[0, 1\)"):
+        synth.SynthConfig(size_drift=value)
