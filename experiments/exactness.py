@@ -11,7 +11,10 @@ Prints one `name digest` line each for
     in float64;
   - the desk model's boxes under every ablation over three 30-frame
     synthetic sequences (no, one and three distractors);
-  - the full model's boxes over a 3-frame, 288 px sequence;
+  - the full model's boxes over a 3-frame, 288 px sequence, and the
+    response maps at every scale of its first tracked frame, so that a
+    change to the full model's arithmetic shows even where the boxes keep
+    their peak;
   - two 10-frame training clips' loss and every parameter gradient;
   - 12 training steps: the loss history and the final parameters;
   - the worst-error report of the float64 gradient-check suite, every
@@ -49,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from memtracker import autodiff as ad  # noqa: E402
-from memtracker import cli, gradcheck, synth, tracker, train  # noqa: E402
+from memtracker import cli, gradcheck, synth, template, tracker, train  # noqa: E402
 from memtracker.model import ABLATIONS, desk_config, full_config, init_params  # noqa: E402
 
 PARAM_SEED = 3
@@ -120,8 +123,16 @@ def full_tracking(frames):
     params = init_params(cfg, PARAM_SEED)
     video = synth.generate(7, synth.SynthConfig(canvas=288, frames=frames, target_size=54.0,
                                                 speed=42.0, distractors=1))
-    yield "track-full/none", digest(box_array(tracker.track_sequence(video.frames, video.boxes[0],
-                                                                     params, cfg)))
+    boxes = tracker.track_sequence(video.frames, video.boxes[0], params, cfg)
+    with ad.no_grad():
+        state = tracker.init(video.frames[0], video.boxes[0], params, cfg)
+        prepared = tracker.prepare_frame(video.frames[1], params["featnet/conv0_w"].data.dtype)
+        cx, cy, side = tracker.search_roi(state.box, cfg)
+        feats = [tracker.crop_features(prepared, cx, cy, side * s, cfg.net.search_size, params, cfg)
+                 for s in cfg.scale_factors]
+        final = tracker.frame_forward(state, feats[len(feats) // 2], params, cfg).template
+        maps = [template.response(f, final).data for f in feats]
+    yield "track-full/none", digest(box_array(boxes), *maps)
 
 
 def clip_gradients(clip_len):

@@ -392,7 +392,8 @@ def conv2d(x, kernels, stride=1):
 
 
 def cross_correlate(search, template):
-    """Slide `template` over `search`, full dot product per alignment.
+    """Slide `template` over `search`, full dot product per alignment: the
+    one-filter `conv2d` with the template as its kernel.
 
     search: (H,W,C); template: (n,n,C); output: (H-n+1, W-n+1).
     """
@@ -400,15 +401,8 @@ def cross_correlate(search, template):
     n, n2, c = template.data.shape
     if c != search.data.shape[2]:
         raise ValueError(f"cross_correlate channel mismatch: {search.data.shape[2]} vs {c}")
-    windows = _windows(search.data, n, n2, 1, "cross_correlate")
-    oh, ow = windows.shape[:2]
-    col = windows.reshape(oh * ow, n * n2 * c)
-    out_data = (col @ template.data.reshape(-1)).reshape(oh, ow)
-
-    return _make(out_data,
-                 (search, lambda g: _col2im(template.data[:, :, None, None, :] * g[:, :, None],
-                                            search.data.shape, 1)),
-                 (template, lambda g: (col.T @ g.reshape(-1)).reshape(template.data.shape)))
+    out = conv2d(search, reshape(template, (n, n2, c, 1)))
+    return reshape(out, out.data.shape[:2])
 
 
 def avg_pool(x, n, stride):

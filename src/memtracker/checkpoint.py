@@ -51,7 +51,7 @@ def _read_exact(fh, n):
     return buf
 
 
-def load_checkpoint(path, requires_grad=False):
+def load_checkpoint(path):
     params = {}
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -67,7 +67,7 @@ def load_checkpoint(path, requires_grad=False):
             n_values = int(np.prod(dims)) if dims else 1
             raw = _read_exact(fh, n_values * _DTYPES[code].itemsize)
             arr = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(dims).copy()
-            params[name] = Tensor(arr, requires_grad=requires_grad)
+            params[name] = Tensor(arr)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return params

@@ -64,6 +64,12 @@ def _keys_of(slots):
     return ad.tmean(ad.reshape(slots, (n_slots, n * n, c)), axis=1)
 
 
+def _blend(mem: MemoryState, w):
+    """The (n,n,C) template sum_j w(j) M(j) of the slots under (N,) weights `w`."""
+    n_slots, n, _, c = mem.slots.data.shape
+    return ad.reshape(ad.matmul(w, ad.reshape(mem.slots, (n_slots, n * n * c))), (n, n, c))
+
+
 def read(mem: MemoryState, read_key, read_strength):
     """Content-based retrieval.
 
@@ -74,10 +80,7 @@ def read(mem: MemoryState, read_key, read_strength):
     """
     sims = ad.cosine_rows(mem.keys, read_key)
     w = ad.softmax(ad.mul(read_strength, sims))
-    n_slots, n, _, c = mem.slots.data.shape
-    flat = ad.reshape(mem.slots, (n_slots, n * n * c))
-    retrieved = ad.reshape(ad.matmul(w, flat), (n, n, c))
-    return retrieved, w
+    return _blend(mem, w), w
 
 
 def hard_read(mem: MemoryState, read_key):
@@ -139,11 +142,9 @@ def queue_write(mem: MemoryState, new_template):
 def queue_retrieve(mem: MemoryState):
     """Mean of the written slots (queue-style ablation's read)."""
     k = max(np.count_nonzero(mem.access), 1)
-    n_slots, n, _, c = mem.slots.data.shape
-    w = np.zeros(n_slots, dtype=mem.slots.data.dtype)
+    w = np.zeros(mem.size, dtype=mem.slots.data.dtype)
     w[:k] = 1.0 / k
-    flat = ad.reshape(mem.slots, (n_slots, n * n * c))
-    return ad.reshape(ad.matmul(Tensor(w), flat), (n, n, c))
+    return _blend(mem, Tensor(w))
 
 
 def _local_maxima(score):

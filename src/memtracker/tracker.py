@@ -4,7 +4,7 @@ multi-scale search, and the per-frame model (`init`, `frame_forward`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class TrackState:
     initial_template: Tensor
     ablation: str = "none"
     pin_gates: bool = False  # test hook: zero residual gate, skip writes
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -59,7 +58,6 @@ class FrameRead:
     signals: ctrl.ControlSignals | None = None  # None when the variant is frozen
     w_pos: Tensor | None = None      # positive read weights (None for the queue read)
     w_neg: Tensor | None = None      # negative read weights
-    alpha: Tensor | None = None      # attention weights
 
 
 def object_roi(box: BoundingBox, context_factor=0.5):
@@ -211,9 +209,9 @@ def frame_forward(state: TrackState, search_features, params, cfg: ModelConfig,
     patches = attn.pool_patches(search_features, cfg.net.template_size, cfg.patch_stride)
     if v.attend:
         scores = attn.attention_scores(state.h, patches, params)
-        a_t, alpha = attn.attended_vector(scores, patches)
+        a_t, _ = attn.attended_vector(scores, patches)
     else:
-        a_t, alpha = attn.uniform_attended_vector(patches)
+        a_t, _ = attn.uniform_attended_vector(patches)
     h, c = ctrl.lstm_step(a_t, state.h, state.c, params, mode=mode,
                           keep_prob=cfg.dropout_keep, rng=rng)
     signals = ctrl.control_signals(h, params)
@@ -236,8 +234,7 @@ def frame_forward(state: TrackState, search_features, params, cfg: ModelConfig,
     if v.negative:
         negative, w_neg = mem.read(state.neg_mem, signals.read_key, signals.read_strength)
         final, _ = tmpl.cancel_distractor(final, negative, params)
-    return FrameRead(template=final, h=h, c=c, signals=signals, w_pos=w_pos, w_neg=w_neg,
-                     alpha=alpha)
+    return FrameRead(template=final, h=h, c=c, signals=signals, w_pos=w_pos, w_neg=w_neg)
 
 
 def write_memories(state: TrackState, read: FrameRead, new_template, score_map,
@@ -290,10 +287,7 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
     new_box = BoundingBox(cx=box.cx + dx, cy=box.cy + dy,
                           w=box.w * size_factor, h=box.h * size_factor)
 
-    diag = {"scale_index": s_star, "peak": (p_star, q_star),
-            "alpha": None if read.alpha is None else read.alpha.data.copy(),
-            "write_gates": None if read.signals is None else read.signals.write_gates.data.copy()}
-    new_state = replace(state, box=new_box, h=read.h, c=read.c, diagnostics=diag)
+    new_state = replace(state, box=new_box, h=read.h, c=read.c)
     if VARIANTS[state.ablation].adapt and not state.pin_gates:
         new_template = extract_template(prepared, new_box, params, cfg)
         new_state.pos_mem, new_state.neg_mem = write_memories(

@@ -239,6 +239,12 @@ def test_cross_correlate_channel_mismatch():
         ad.cross_correlate(t64(np.zeros((5, 5, 2))), t64(np.zeros((2, 2, 3))))
 
 
+@pytest.mark.parametrize("template_shape", [(6, 6, 2), (6, 2, 2), (2, 6, 2)])
+def test_cross_correlate_template_larger_than_search(template_shape):
+    with pytest.raises(ValueError, match="does not fit"):
+        ad.cross_correlate(t64(np.zeros((5, 5, 2))), t64(np.zeros(template_shape)))
+
+
 # --- layer_norm --------------------------------------------------------------
 
 def test_layer_norm_constant_input():

@@ -323,12 +323,18 @@ def test_one_positive_write_per_step(desk_cfg, desk_params):
     v = _video(seed=5, frames=4)
     with ad.no_grad():
         state = tracker.init(v.frames[0], v.boxes[0], desk_params, desk_cfg)
+        # the write gates `step` uses: the controller's on its middle-scale crop
+        prepared = tracker.prepare_frame(v.frames[1], desk_params["featnet/conv0_w"].data.dtype)
+        cx, cy, side = tracker.search_roi(state.box, desk_cfg)
+        mid = desk_cfg.scale_factors[len(desk_cfg.scale_factors) // 2]
+        feats = tracker.crop_features(prepared, cx, cy, side * mid, desk_cfg.net.search_size,
+                                      desk_params, desk_cfg)
+        gates = tracker.frame_forward(state, feats, desk_params, desk_cfg).signals.write_gates.data
         a0 = state.pos_mem.access.copy()
         state, _ = tracker.step(state, v.frames[1], desk_params, desk_cfg)
         # one blended write: access gained read weight + write weight once
         gained = state.pos_mem.access - desk_cfg.mem_decay * a0
-        assert gained.sum() == pytest.approx(1.0 + state.diagnostics["write_gates"][1]
-                                             + state.diagnostics["write_gates"][2], abs=1e-5)
+        assert gained.sum() == pytest.approx(1.0 + gates[1] + gates[2], abs=1e-5)
 
 
 def test_frozen_equals_pinned_gates(desk_cfg, desk_params):
