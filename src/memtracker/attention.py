@@ -7,10 +7,7 @@ the softmax-weighted sum becomes the controller input.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
-from .autodiff import Tensor
 
 
 def pool_patches(feature_map, window, stride=1):
@@ -40,9 +37,7 @@ def attended_vector(scores, patches):
 
 def uniform_attended_vector(patches):
     """Plain mean over the patch vectors (attention-disabled variant)."""
-    count = patches.data.shape[0]
-    w = np.full(count, 1.0 / count, dtype=patches.data.dtype)
-    return ad.tmean(patches, axis=0), Tensor(w)
+    return ad.tmean(patches, axis=0)
 
 
 def param_table(hidden, channels, attn_size):

@@ -14,7 +14,6 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import evaluate, gradcheck, synth, tracker, train
 from .model import ABLATIONS, config_from_dict, config_to_dict, desk_config, param_tables
-from .ppm import read_ppm
 
 # config fields whose flags keep their older, shorter names
 FLAG_NAMES = {"num_classes": "classes", "target_size": "size", "batch_clips": "batch"}
@@ -52,11 +51,9 @@ def cmd_train(args):
     else:
         tc = config_from_args(train.TrainConfig, args)
     if args.data:
-        records = [evaluate.load_sequence(os.path.join(args.data, d))
-                   for d in sorted(os.listdir(args.data))
-                   if os.path.isdir(os.path.join(args.data, d))]
-        source = (synth.SynthVideo(frames=[read_ppm(p) for p in rec.frame_paths], boxes=rec.boxes,
-                                   class_id=rec.class_id) for rec in records)
+        source = [evaluate.load_sequence(os.path.join(args.data, d))
+                  for d in sorted(os.listdir(args.data))
+                  if os.path.isdir(os.path.join(args.data, d))]
     else:
         source = synth.SyntheticSource(config_from_args(synth.SynthConfig, args), args.seed)
 
@@ -93,21 +90,21 @@ def cmd_track(args):
                 if not np.isfinite([v.data.min(initial=0.0), v.data.max(initial=0.0)]).all()), None)
     if bad is not None:
         raise ValueError(f"{args.ckpt}: tensor {bad!r} holds non-finite values")
-    record = evaluate.load_sequence(args.seq)
+    video = evaluate.load_sequence(args.seq)
     t0 = time.time()
-    boxes = tracker.track_sequence(record.frame_paths, record.boxes[0], params, cfg,
-                                   ablation=args.ablation)
+    boxes = tracker.track_sequence(video.frames, video.boxes[0], params, cfg, ablation=args.ablation)
     elapsed = time.time() - t0
     evaluate.save_results(args.out, boxes)
-    fps = len(record.frame_paths) / elapsed if elapsed > 0 else 0.0
-    print(f"{record.name}: {len(boxes)} frames, {fps:.1f} fps, results -> {args.out}")
+    fps = len(video.frames) / elapsed if elapsed > 0 else 0.0
+    print(f"{os.path.basename(os.path.normpath(args.seq))}: {len(boxes)} frames, {fps:.1f} fps, "
+          f"results -> {args.out}")
     return 0
 
 
 def cmd_eval(args):
-    record = evaluate.load_sequence(args.seq)
+    video = evaluate.load_sequence(args.seq)
     predictions = evaluate.load_results(args.results)
-    report = evaluate.compute_metrics(predictions, record.boxes, fps=args.fps)
+    report = evaluate.compute_metrics(predictions, video.boxes, fps=args.fps)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
@@ -115,7 +112,7 @@ def cmd_eval(args):
         with open(args.csv, "w") as fh:
             fh.write(report.curves_csv())
     mean_iou = float(np.mean(report.overlaps))
-    print(f"{record.name}: auc {report.auc:.4f}  mean_iou {mean_iou:.4f}  "
+    print(f"{os.path.basename(os.path.normpath(args.seq))}: auc {report.auc:.4f}  mean_iou {mean_iou:.4f}  "
           f"precision@20 {report.precision_curve[20]:.4f}")
     return 0
 

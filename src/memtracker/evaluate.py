@@ -18,18 +18,11 @@ import numpy as np
 from .checkpoint import load_config, save_config
 from .model import _pop_entry
 from .ppm import write_ppm
+from .synth import SynthVideo
 from .tracker import BoundingBox
 
 PRECISION_THRESHOLDS = np.arange(0, 51, 1)
 SUCCESS_THRESHOLDS = np.arange(0, 21, 1) * 0.05
-
-
-@dataclass
-class SequenceRecord:
-    name: str
-    frame_paths: list
-    boxes: list  # ground truth, one per frame
-    class_id: int  # from meta.txt; 0 when the directory has none
 
 
 @dataclass
@@ -113,8 +106,10 @@ def save_sequence(directory, video):
 
 
 def load_sequence(directory):
-    """Read a sequence directory: *.ppm frames, groundtruth_rect.txt and an
-    optional meta.txt class id."""
+    """Read a sequence directory as a synth.SynthVideo whose frames are the
+    *.ppm paths, in name order, with the boxes of groundtruth_rect.txt and
+    the class id of an optional meta.txt (0 without one). The frames are
+    read only when the tracker prepares them."""
     names = sorted(f for f in os.listdir(directory) if f.endswith(".ppm"))
     if not names:
         raise ValueError(f"{directory}: no .ppm frames found")
@@ -129,9 +124,7 @@ def load_sequence(directory):
         class_id = _pop_entry(entries, "class_id", int)
     except ValueError as exc:
         raise ValueError(f"{meta}: {exc}") from None
-    return SequenceRecord(name=os.path.basename(os.path.normpath(directory)),
-                          frame_paths=[os.path.join(directory, n) for n in names],
-                          boxes=boxes, class_id=class_id)
+    return SynthVideo(frames=[os.path.join(directory, n) for n in names], boxes=boxes, class_id=class_id)
 
 
 def save_results(path, boxes):

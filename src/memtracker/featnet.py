@@ -3,6 +3,8 @@ branches, plus the train-time auxiliary classification head."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +25,16 @@ class ConvLayer:
     groups: int = 1  # channel groups: output group g sees only input group g
 
     def __post_init__(self):
-        if min(self.kernel, self.stride, self.channels, self.groups) < 1:
-            raise ValueError(f"conv layer kernel, stride, channels and groups must be >= 1, got {self}")
-        if self.pool is not None and (self.pool[0] not in _POOLS or min(self.pool[1:]) < 1):
-            raise ValueError(f"conv layer pool must be None or (max|avg, size >= 1, stride >= 1), got {self}")
+        from .model import check_fields  # model imports this module
+
+        pool = self.pool
+        pool_ok = pool is None or (len(pool) == 3 and pool[0] in _POOLS
+                                   and all(isinstance(v, numbers.Real) and 1 <= v < math.inf for v in pool[1:]))
+        try:
+            check_fields(self, at_least=(("kernel", 1), ("stride", 1), ("channels", 1), ("groups", 1)),
+                         ranges=(("pool", pool_ok, "None or (max|avg, size >= 1, stride >= 1)"),))
+        except ValueError as exc:
+            raise ValueError(f"bad conv layer: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ class SynthConfig:
 
 @dataclass
 class SynthVideo:
-    frames: list
+    frames: list  # arrays, or the .ppm paths of `evaluate.load_sequence`
     boxes: list
     class_id: int
 

@@ -13,6 +13,7 @@ from . import autodiff as ad
 from . import controller as ctrl
 from . import featnet
 from . import memory as mem
+from . import ppm
 from . import template as tmpl
 from .autodiff import Tensor
 from .model import ABLATIONS, VARIANTS, ModelConfig, check_fields
@@ -80,11 +81,12 @@ def search_roi(box: BoundingBox, cfg: ModelConfig):
 def prepare_frame(frame, dtype):
     """A frame as every crop of it reads it: a channels-first (3, H+2, W+2)
     array of `dtype` with a one-pixel border of the frame's mean colour, so a
-    tap clipped into the border reads the fill. A gray (H,W) frame is
-    repeated into 3 channels and a uint8 frame is scaled to [0,1] as
+    tap clipped into the border reads the fill. This is the one place a frame
+    is loaded: a path (str or bytes) is read with `ppm.read_ppm`. A gray (H,W)
+    frame is repeated into 3 channels and a uint8 frame is scaled to [0,1] as
     `ppm.read_ppm` scales it. Any other layout, or a NaN or infinite pixel,
     raises ValueError, so a bad frame cannot reach the memories."""
-    frame = np.asarray(frame)
+    frame = ppm.read_ppm(frame) if isinstance(frame, (str, bytes)) else np.asarray(frame)
     if frame.dtype == np.uint8:
         frame = frame.astype(np.float32) / 255.0
     if frame.ndim == 2:
@@ -182,11 +184,11 @@ def init(frame, box: BoundingBox, params, cfg: ModelConfig, ablation="none"):
     if ablation not in VARIANTS:
         raise ValueError(f"unknown ablation {ablation!r}; choose from {ABLATIONS}")
     prepared = prepare_frame(frame, params["featnet/conv0_w"].data.dtype)
-    t0 = extract_template(prepared, box, params, cfg)
-    H, W = np.shape(frame)[:2]
+    H, W = prepared.shape[1] - 2, prepared.shape[2] - 2
     x, y, w, h = box.to_topleft()
     if x >= W or y >= H or x + w <= 0 or y + h <= 0:
         raise ValueError(f"initial box {box} does not overlap the {W}x{H} frame")
+    t0 = extract_template(prepared, box, params, cfg)
     h0, c0 = ctrl.init_state(t0, params)
     n, c = cfg.net.template_size, cfg.net.channels
     dtype = t0.data.dtype
@@ -211,7 +213,7 @@ def frame_forward(state: TrackState, search_features, params, cfg: ModelConfig,
         scores = attn.attention_scores(state.h, patches, params)
         a_t, _ = attn.attended_vector(scores, patches)
     else:
-        a_t, _ = attn.uniform_attended_vector(patches)
+        a_t = attn.uniform_attended_vector(patches)
     h, c = ctrl.lstm_step(a_t, state.h, state.c, params, mode=mode,
                           keep_prob=cfg.dropout_keep, rng=rng)
     signals = ctrl.control_signals(h, params)
@@ -297,20 +299,16 @@ def step(state: TrackState, frame, params, cfg: ModelConfig):
 
 def track_sequence(frames, first_box, params, cfg: ModelConfig, ablation="none",
                    pin_gates=False):
-    """Track a full sequence; frames may be arrays or paths loaded lazily.
+    """Track a full sequence; frames may be arrays or paths, each read when
+    its step prepares it.
 
     Returns the per-frame boxes (the first one echoes the given box).
     """
-    from .ppm import read_ppm
-
-    def load(f):
-        return read_ppm(f) if isinstance(f, (str, bytes)) else f
-
     with ad.no_grad():
-        state = init(load(frames[0]), first_box, params, cfg, ablation=ablation)
+        state = init(frames[0], first_box, params, cfg, ablation=ablation)
         state.pin_gates = pin_gates
         boxes = [first_box]
         for f in frames[1:]:
-            state, box = step(state, load(f), params, cfg)
+            state, box = step(state, f, params, cfg)
             boxes.append(box)
     return boxes

@@ -133,7 +133,8 @@ def sample_clip(video_len, clip_len, seed):
 def clip_loss(params, cfg: ModelConfig, frames, boxes, class_id, tc: TrainConfig,
               rng, mode="train"):
     """Summed per-step loss of a teacher-forced unroll over one clip. Frames
-    may take any layout `tracker.step` accepts, gray and uint8 included."""
+    may take any form `tracker.prepare_frame` accepts, paths, gray and uint8
+    included."""
     state = tracker.init(frames[0], boxes[0], params, cfg)
     dtype = params["featnet/conv0_w"].data.dtype
     P = cfg.response_size

@@ -100,7 +100,7 @@ def test_attended_in_convex_hull(rng):
 
 def test_uniform_variant_equals_equal_scores(rng):
     bank = bank_from(rng.standard_normal((5, 5, 3)), window=2)
-    uniform, _ = attn.uniform_attended_vector(bank)
+    uniform = attn.uniform_attended_vector(bank)
     equal_scores, _ = attn.attended_vector(Tensor(np.full(len(bank.data), 0.37)), bank)
     np.testing.assert_allclose(uniform.data, equal_scores.data, atol=1e-9)
 

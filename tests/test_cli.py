@@ -6,10 +6,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from memtracker import ppm
 from memtracker.checkpoint import load_checkpoint, save_checkpoint, save_config
 from memtracker.cli import build_parser, config_from_args, main
+from memtracker.evaluate import save_sequence
 from memtracker.model import config_from_dict, config_to_dict, desk_config
-from memtracker.synth import SynthConfig
+from memtracker.synth import SynthConfig, generate
 from memtracker.train import TrainConfig
 
 
@@ -177,6 +179,18 @@ def test_train_on_data_without_sequences_is_clean_error(tmp_path):
     assert run(["train", "--out", str(out), "--data", str(data), "--steps", "1",
                 "--log-every", "0"]) == 2
     assert not out.exists()
+
+
+def test_train_on_data_reads_only_the_frames_its_clips_use(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    for seed in range(3):
+        save_sequence(str(data / f"seq_{seed}"), generate(seed, SynthConfig(frames=40)))
+    reads = []
+    read_ppm = ppm.read_ppm
+    monkeypatch.setattr(ppm, "read_ppm", lambda path: reads.append(path) or read_ppm(path))
+    assert run(["train", "--out", str(tmp_path / "model.ckpt"), "--data", str(data), "--steps", "3",
+                "--clip-len", "10", "--log-every", "0"]) == 0
+    assert len(reads) == 30
 
 
 def test_non_finite_box_is_clean_error(trained, tmp_path):

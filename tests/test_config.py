@@ -128,3 +128,12 @@ def test_feature_net_needs_a_conv_layer():
 def test_feature_net_sizes_must_be_positive(name, value, match):
     with pytest.raises(ValueError, match=rf"FeatureNetConfig\.{name} {match}"):
         replace(desk_config().net, **{name: value})
+
+
+@pytest.mark.parametrize("changes,match", [(dict(kernel=float("nan")), r"ConvLayer\.kernel must be finite"),
+                                          (dict(stride=float("inf")), r"ConvLayer\.stride must be finite"),
+                                          (dict(pool=("max", 2)), r"ConvLayer\.pool must be None or"),
+                                          (dict(channels=0), r"ConvLayer\.channels must be at least 1")])
+def test_conv_layer_rejects_a_field_and_names_it(changes, match):
+    with pytest.raises(ValueError, match=match):
+        replace(desk_config().net.layers[0], **changes)

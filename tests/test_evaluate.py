@@ -123,8 +123,8 @@ def test_sequence_roundtrip(tmp_path):
     seq = tmp_path / "seq"
     evaluate.save_sequence(str(seq), video)
     record = evaluate.load_sequence(str(seq))
-    assert len(record.frame_paths) == len(video.frames)
-    for path, frame in zip(record.frame_paths, video.frames):
+    assert len(record.frames) == len(video.frames)
+    for path, frame in zip(record.frames, video.frames):
         np.testing.assert_allclose(read_ppm(path), frame, rtol=0, atol=0.5 / 255 + 1e-6)
     for got, want in zip(record.boxes, video.boxes):
         assert (got.cx, got.cy, got.w, got.h) == pytest.approx((want.cx, want.cy, want.w, want.h), abs=1e-3)

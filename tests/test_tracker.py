@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memtracker import autodiff as ad
-from memtracker import synth, tracker
+from memtracker import evaluate, featnet, ppm, synth, tracker
 from memtracker.model import ABLATIONS, full_config
 from memtracker.tracker import BoundingBox
 from oracles import oracle_choose_peak, oracle_crop_resize
@@ -273,6 +273,15 @@ def test_init_rejects_box_off_the_frame(desk_cfg, desk_params, box):
         tracker.init(v.frames[0], box, desk_params, desk_cfg)
 
 
+def test_init_rejects_box_off_the_frame_before_any_feature_pass(desk_cfg, desk_params, monkeypatch):
+    calls = []
+    extract = featnet.extract_features
+    monkeypatch.setattr(featnet, "extract_features", lambda *a: calls.append(1) or extract(*a))
+    with pytest.raises(ValueError, match="does not overlap"):
+        tracker.init(_video().frames[0], BoundingBox(130, 40, 10, 10), desk_params, desk_cfg)
+    assert calls == []
+
+
 @pytest.mark.parametrize("box", [BoundingBox(-3, 40, 10, 10), BoundingBox(95, 95, 10, 10)])
 def test_init_accepts_box_partly_in_the_frame(desk_cfg, desk_params, box):
     v = _video()
@@ -402,6 +411,15 @@ def test_uint8_frames_track_like_read_ppm_floats(desk_cfg, desk_params):
     assert a.initial_template.data.tobytes() == b.initial_template.data.tobytes()
     assert _boxes(tracker.track_sequence(raw, v.boxes[0], desk_params, desk_cfg)) == \
         _boxes(tracker.track_sequence(as_read, v.boxes[0], desk_params, desk_cfg))
+
+
+def test_frame_paths_track_like_the_frames_read_from_them(desk_cfg, desk_params, tmp_path):
+    evaluate.save_sequence(str(tmp_path / "seq"), _video(seed=6, frames=5, drift=0.5, distractors=1))
+    seq = evaluate.load_sequence(str(tmp_path / "seq"))
+    assert all(isinstance(f, str) for f in seq.frames)
+    read = [ppm.read_ppm(f) for f in seq.frames]
+    assert _boxes(tracker.track_sequence(seq.frames, seq.boxes[0], desk_params, desk_cfg)) == \
+        _boxes(tracker.track_sequence(read, seq.boxes[0], desk_params, desk_cfg))
 
 
 def test_gray_frames_track_like_three_channel_repeat(desk_cfg, desk_params):
